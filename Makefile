@@ -46,12 +46,14 @@ bench-snapshot:
 # iteration of every wire benchmark, cheap enough for CI. The *ZeroAlloc
 # tests fail if the flush path regresses to allocating. The fan-out
 # benchmark rides along: B/op staying flat from viewers=1 to viewers=8
-# is the translate-once/deliver-N contract.
+# is the translate-once/deliver-N contract. So does the §4 aggregation
+# benchmark (an 80-glyph run, a 256-scanline image) with the allocation
+# test that pins absorption as linear in the run, not quadratic.
 bench-smoke:
 	$(GO) test ./internal/wire/ -run 'ZeroAlloc|TestPayloadSizeMatchesAppend|TestBatch' -count=1
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime=1x -count=1
-	$(GO) test ./internal/core/ -run '^$$' -bench BenchmarkTranslateFanout -benchtime=100x -count=1
-	$(GO) test ./internal/core/ -run 'TestCacheHotPathZeroAlloc' -count=1
+	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTranslateFanout|BenchmarkAggregateRun' -benchtime=100x -count=1
+	$(GO) test ./internal/core/ -run 'TestCacheHotPathZeroAlloc|TestAggregateRunAllocatesLinearly' -count=1
 	$(GO) test ./internal/fb/ -run 'TestDigestHotPathZeroAlloc' -count=1
 	$(GO) test ./internal/fb/ -run '^$$' -bench BenchmarkTileDigest -benchtime=100x -count=1
 

@@ -631,11 +631,11 @@ func (cn *Conn) SendInput(ev *wire.Input) error {
 }
 
 // RequestResize asks the server to rescale updates to a new viewport.
-// The local framebuffer is replaced at the new geometry.
+// The local framebuffer is replaced at the new geometry — before the
+// request leaves, so the server's full refresh at the new size can only
+// land on the new framebuffer (on a fast link it arrives before send
+// returns; applied to the old one it would be lost for good).
 func (cn *Conn) RequestResize(viewW, viewH int) error {
-	if err := cn.send(&wire.Resize{ViewW: viewW, ViewH: viewH}); err != nil {
-		return err
-	}
 	cn.mu.Lock()
 	old := cn.c
 	cn.c = New(viewW, viewH)
@@ -644,7 +644,7 @@ func (cn *Conn) RequestResize(viewW, viewH int) error {
 	cn.c.store = old.store
 	cn.c.cacheGauges()
 	cn.mu.Unlock()
-	return nil
+	return cn.send(&wire.Resize{ViewW: viewW, ViewH: viewH})
 }
 
 // Close tears the connection down for good; RunAuto stops reconnecting.

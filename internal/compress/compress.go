@@ -197,13 +197,45 @@ func decodePNG(data []byte, w, h int) ([]pixel.ARGB, error) {
 		return nil, ErrCorrupt
 	}
 	pix := make([]pixel.ARGB, w*h)
+	// The decoder hands back *image.NRGBA for truecolor with alpha and
+	// *image.RGBA (opaque, so premultiplication is the identity) for
+	// truecolor without: read those rows directly. img.At boxes a color
+	// per pixel, which was most of a page's client-side allocations.
+	var src []uint8
+	var stride int
+	premul := false
+	switch v := img.(type) {
+	case *image.NRGBA:
+		src, stride = v.Pix[v.PixOffset(b.Min.X, b.Min.Y):], v.Stride
+	case *image.RGBA:
+		src, stride, premul = v.Pix[v.PixOffset(b.Min.X, b.Min.Y):], v.Stride, true
+	default:
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				pix[y*w+x] = nrgbaPixel(img.At(b.Min.X+x, b.Min.Y+y))
+			}
+		}
+		return pix, nil
+	}
 	for y := 0; y < h; y++ {
+		row := src[y*stride:]
 		for x := 0; x < w; x++ {
-			c := color.NRGBAModel.Convert(img.At(b.Min.X+x, b.Min.Y+y)).(color.NRGBA)
-			pix[y*w+x] = pixel.PackARGB(c.A, c.R, c.G, c.B)
+			s := row[x*4 : x*4+4 : x*4+4]
+			if premul && s[3] != 0xFF {
+				pix[y*w+x] = nrgbaPixel(color.RGBA{R: s[0], G: s[1], B: s[2], A: s[3]})
+				continue
+			}
+			pix[y*w+x] = pixel.PackARGB(s[3], s[0], s[1], s[2])
 		}
 	}
 	return pix, nil
+}
+
+// nrgbaPixel converts any decoded color to the protocol's
+// non-premultiplied ARGB.
+func nrgbaPixel(c color.Color) pixel.ARGB {
+	n := color.NRGBAModel.Convert(c).(color.NRGBA)
+	return pixel.PackARGB(n.A, n.R, n.G, n.B)
 }
 
 func appendZlib(dst []byte, pix []pixel.ARGB) ([]byte, error) {

@@ -1,6 +1,10 @@
 package compress
 
 import (
+	"bytes"
+	"image"
+	"image/color"
+	"image/png"
 	"math/rand"
 	"testing"
 
@@ -135,6 +139,81 @@ func TestRLELongRuns(t *testing.T) {
 	}
 	if len(got) != 600 || got[599] != pixel.RGB(7, 7, 7) {
 		t.Error("long run round trip failed")
+	}
+}
+
+// TestDecodePNGMatchesGenericConversion: the direct row reads for the
+// two image types the decoder yields on the protocol's own streams, and
+// the generic fallback for every other type a foreign PNG decodes to,
+// produce exactly the pixels of the per-pixel color-model conversion.
+func TestDecodePNGMatchesGenericConversion(t *testing.T) {
+	const w, h = 19, 7
+	rnd := rand.New(rand.NewSource(7))
+	nrgba := image.NewNRGBA(image.Rect(0, 0, w, h))
+	rnd.Read(nrgba.Pix)
+	opaque := image.NewNRGBA(image.Rect(0, 0, w, h))
+	rnd.Read(opaque.Pix)
+	for i := 3; i < len(opaque.Pix); i += 4 {
+		opaque.Pix[i] = 0xFF
+	}
+	gray := image.NewGray(image.Rect(0, 0, w, h))
+	rnd.Read(gray.Pix)
+	deep := image.NewNRGBA64(image.Rect(0, 0, w, h))
+	rnd.Read(deep.Pix)
+	pal := image.NewPaletted(image.Rect(0, 0, w, h), color.Palette{
+		color.NRGBA{R: 1, G: 2, B: 3, A: 255}, color.NRGBA{R: 200, G: 100, B: 50, A: 90}})
+	for i := range pal.Pix {
+		pal.Pix[i] = uint8(rnd.Intn(2))
+	}
+	for name, src := range map[string]image.Image{
+		"nrgba": nrgba, "opaque": opaque, "gray": gray, "nrgba64": deep, "paletted": pal,
+	} {
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(CodecPNG, buf.Bytes(), w, h)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref, err := png.Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				c := color.NRGBAModel.Convert(ref.At(x, y)).(color.NRGBA)
+				if want := pixel.PackARGB(c.A, c.R, c.G, c.B); got[y*w+x] != want {
+					t.Fatalf("%s (%T) pixel %d,%d: %08x, want %08x", name, ref, x, y, got[y*w+x], want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodePNGAllocsIndependentOfPixels: decoding the protocol's own
+// PNG payloads (opaque and alpha-carrying) allocates per image, not per
+// pixel.
+func TestDecodePNGAllocsIndependentOfPixels(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	opaque := randomBlock(rnd, 64, 64)
+	alpha := randomBlock(rnd, 64, 64)
+	for i := range alpha {
+		alpha[i] &= 0x7FFFFFFF
+	}
+	for name, pix := range map[string][]pixel.ARGB{"opaque": opaque, "alpha": alpha} {
+		data, err := Encode(CodecPNG, pix, 64, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Decode(CodecPNG, data, 64, 64); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("%s: %.0f allocations decoding 4096 pixels", name, allocs)
+		}
 	}
 }
 

@@ -326,16 +326,8 @@ func (c *BitmapCmd) Merge(other Command) bool {
 	if c.Bits.W != a.W() || c.Bits.H != a.H() || o.Bits.W != b.W() || o.Bits.H != b.H() {
 		return false
 	}
-	merged := fb.NewBitmap(a.W()+b.W(), a.H())
-	for y := 0; y < a.H(); y++ {
-		for x := 0; x < a.W(); x++ {
-			merged.SetBit(x, y, c.Bits.BitAt(x, y))
-		}
-		for x := 0; x < b.W(); x++ {
-			merged.SetBit(a.W()+x, y, o.Bits.BitAt(x, y))
-		}
-	}
-	c.Bits = merged
+	// A fresh bitmap, never an in-place edit: clones share c.Bits.
+	c.Bits = fb.ConcatBitmaps(c.Bits, o.Bits)
 	c.Rect = geom.Rect{X0: a.X0, Y0: a.Y0, X1: b.X1, Y1: a.Y1}
 	c.region = geom.RegionOf(c.Rect)
 	return true
@@ -397,22 +389,26 @@ func (c *CopyCmd) Emit(dst []wire.Message) []wire.Message {
 // Merge implements Command.
 func (c *CopyCmd) Merge(Command) bool { return false }
 
-// payloadRefs counts the RawCmd values sharing one immutable pixel
-// backing. The session fan-out (one translated command broadcast into
-// N per-client buffers) clones the command but shares the backing and
-// bumps the count, so an added viewer costs per-client bookkeeping,
-// never a payload copy. Any path that must produce different bytes —
-// merge absorption building a bigger block — detaches onto a fresh
-// backing first (setPix): copy-on-write, so one client's eviction,
-// split, or merge can never mutate a sibling's payload.
+// payloadRefs counts the RawCmd values sharing one pixel backing. The
+// session fan-out (one translated command broadcast into N per-client
+// buffers) clones the command but shares the backing and bumps the
+// count, so an added viewer costs per-client bookkeeping, never a
+// payload copy. Elements a command can see — its Pix[0:len) — are never
+// rewritten. Merge absorption, the one path that builds a bigger block,
+// detaches onto a fresh backing first (setPix) while the backing is
+// shared: copy-on-write, so one client's eviction, split, or merge can
+// never mutate a sibling's payload. A sole owner (n == 1) instead grows
+// into its backing's spare capacity past len, which no other command
+// can observe.
 type payloadRefs struct {
 	n atomic.Int64
 
-	// Content-digest memo (wire v6): the backing is immutable, so its
-	// cache identity is computed once and shared by every fan-out clone.
-	// Geometry and blend ride the digest but are identical across
-	// sharers (clones diverge only in live region and codec). Written
-	// under the host lock like all command mutation; not atomic.
+	// Content-digest memo (wire v6): a shared backing never changes, so
+	// its cache identity is computed once and shared by every fan-out
+	// clone; a sole owner growing in place resets it. Geometry and blend
+	// ride the digest but are identical across sharers (clones diverge
+	// only in live region and codec). Written under the host lock like
+	// all command mutation; not atomic.
 	dig   uint64
 	digOK bool
 }
@@ -429,13 +425,14 @@ func newPayloadRefs() *payloadRefs {
 // payload is compressed at emit time. Blend marks alpha content the
 // client must composite (Transparent class).
 //
-// The pixel backing is immutable after construction and refcounted
-// (payloadRefs): clones made by the fan-out share it, and per-clone
-// state (the live region, the codec rewrite of a degradation rung) is
-// all that diverges between clients.
+// The pixel backing is refcounted (payloadRefs) and its elements are
+// immutable once written: clones made by the fan-out share it, and
+// per-clone state (the live region, the codec rewrite of a degradation
+// rung) is all that diverges between clients. Only a sole owner absorbing
+// scanlines appends to it (Merge), beyond every existing element.
 type RawCmd struct {
 	opaqueBase
-	Pix   []pixel.ARGB // row-major, stride == bounds.W(); immutable, shared
+	Pix   []pixel.ARGB // row-major, stride == bounds.W(); elements immutable, shared
 	Blend bool
 	Codec compress.Codec
 
@@ -511,7 +508,7 @@ func (c *RawCmd) CoverOutput(r geom.Rect) bool {
 func (c *RawCmd) Translate(dx, dy int) { c.translate(dx, dy) }
 
 // Clone implements Command. The pixel backing is shared and its
-// refcount bumped: raw payloads are immutable after construction, so a
+// refcount bumped: the pixels a command holds are never rewritten, so a
 // clone costs live-region bookkeeping, not a pixel copy.
 func (c *RawCmd) Clone() Command {
 	cp := *c
@@ -535,7 +532,7 @@ func (c *RawCmd) WireSize() int {
 
 // subPixels extracts the pixels of r (which must lie inside bounds).
 // When r covers the whole command the stored pixels are returned
-// directly (they are immutable after construction), skipping the copy.
+// directly (they are never rewritten), skipping the copy.
 func (c *RawCmd) subPixels(r geom.Rect) []pixel.ARGB {
 	if r == c.bounds {
 		return c.Pix
@@ -613,14 +610,22 @@ func (c *RawCmd) Merge(other Command) bool {
 	}
 	switch {
 	case a.X0 == b.X0 && a.X1 == b.X1 && a.Y1 == b.Y0:
-		// Vertical stack. setPix detaches from the shared backing
-		// (copy-on-write): fan-out siblings still referencing the old
-		// pixels are untouched.
+		// Vertical stack: the new rows land behind the old ones, in
+		// place when c is the sole owner of a backing with room. While a
+		// fan-out sibling or offscreen clone shares the backing, or when
+		// it is full, c moves to a fresh one first (the copy-on-write
+		// detach) sized to at least double, so a run of n scanlines
+		// copies O(n) rows in total, not O(n²). Elements [0:len) of a
+		// backing are never rewritten either way.
 		merged := geom.Rect{X0: a.X0, Y0: a.Y0, X1: a.X1, Y1: b.Y1}
-		pix := make([]pixel.ARGB, 0, merged.Area())
-		pix = append(pix, c.Pix...)
-		pix = append(pix, o.Pix...)
-		c.setPix(pix)
+		sole := c.refs != nil && c.refs.n.Load() == 1
+		if need := merged.Area(); !sole || need > cap(c.Pix) {
+			pix := make([]pixel.ARGB, len(c.Pix), max(need, 2*len(c.Pix)))
+			copy(pix, c.Pix)
+			c.setPix(pix)
+		}
+		c.Pix = append(c.Pix, o.Pix...)
+		c.refs.digOK = false // the memo described the shorter payload
 		o.release()
 		c.bounds = merged
 		c.live = geom.RegionOf(merged)

@@ -21,6 +21,7 @@ type Metrics struct {
 	offscreenCmds   *telemetry.Counter
 	offscreenExecs  *telemetry.Counter
 	offscreenEvicts *telemetry.Counter
+	offscreenMerges *telemetry.Counter
 	rawFallbacks    *telemetry.Counter
 
 	// Session fan-out (translate once, deliver N).
@@ -68,6 +69,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"offscreen queues executed on copy-to-screen"),
 		offscreenEvicts: reg.Counter("thinc_translate_offscreen_evicted_total",
 			"commands evicted inside offscreen queues"),
+		offscreenMerges: reg.Counter("thinc_offscreen_commands_merged_total",
+			"commands absorbed into a predecessor inside offscreen queues"),
 		rawFallbacks: reg.Counter("thinc_translate_raw_fallbacks_total",
 			"operations degraded to raw pixel transfers"),
 		fanoutDeliveries: reg.Counter("thinc_fanout_deliveries_total",

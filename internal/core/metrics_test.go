@@ -157,6 +157,10 @@ func TestTranslateMetricsFlow(t *testing.T) {
 	pm := mem.NewPixmap(40, 40)
 	srv.CreatePixmap(pm, 40, 40)
 	srv.FillSolid(pm, geom.XYWH(0, 0, 40, 40), pixel.RGB(1, 1, 1))
+	for y := 0; y < 3; y++ { // three scanlines: two absorbed by the first
+		row := geom.XYWH(0, y, 40, 1)
+		srv.PutImage(pm, row, mkPix(row, uint8(y)), 40)
+	}
 	srv.CopyArea(driver.Screen, pm, geom.XYWH(0, 0, 40, 40), geom.Point{X: 5, Y: 5})
 
 	check := func(name string, want int) {
@@ -167,6 +171,10 @@ func TestTranslateMetricsFlow(t *testing.T) {
 	}
 	check("thinc_translate_commands_total", srv.Stats.OnscreenCmds+srv.Stats.OffscreenCmds)
 	check("thinc_translate_offscreen_execs_total", srv.Stats.OffscreenExecs)
+	check("thinc_offscreen_commands_merged_total", srv.Stats.OffscreenMerges)
+	if srv.Stats.OffscreenMerges != 2 {
+		t.Fatalf("OffscreenMerges = %d, want 2", srv.Stats.OffscreenMerges)
+	}
 	if got := reg.Value("thinc_translate_commands_total", telemetry.L("dest", "offscreen")); got != int64(srv.Stats.OffscreenCmds) {
 		t.Fatalf("offscreen commands = %d, stats %d", got, srv.Stats.OffscreenCmds)
 	}

@@ -15,6 +15,9 @@ type Queue struct {
 	// Evicted counts commands that became irrelevant before delivery —
 	// the work the translation layer saves (read by benchmarks).
 	Evicted int
+	// Merged counts commands absorbed into their predecessor — the §4
+	// update aggregation (glyph runs, scanline images).
+	Merged int
 
 	// MaxBytes caps the queue's summed wire size (0 = unbounded). When
 	// an Add overflows the cap, the oldest commands are dropped until
@@ -66,6 +69,7 @@ func (q *Queue) Add(c Command) {
 		q.cmds = kept
 	}
 	if n := len(q.cmds); n > 0 && q.cmds[n-1].Merge(c) {
+		q.Merged++
 		q.enforceBudget()
 		return
 	}

@@ -101,6 +101,7 @@ type TranslateStats struct {
 	OffscreenExecs  int // offscreen queues executed on copy-to-screen
 	RawFallbacks    int // operations that degraded to raw pixels
 	OffscreenEvicts int // commands evicted inside offscreen queues
+	OffscreenMerges int // commands absorbed inside offscreen queues
 }
 
 // Client is the per-connection state: a command buffer plus the
@@ -377,10 +378,12 @@ func (s *Server) route(d driver.DrawableID, cmd Command) {
 		return
 	}
 	if q := s.offscreenQueue(d); q != nil {
-		before := q.Evicted
+		evicted, merged := q.Evicted, q.Merged
 		q.Add(cmd)
-		s.Stats.OffscreenEvicts += q.Evicted - before
-		s.met.offscreenEvicts.Add(int64(q.Evicted - before))
+		s.Stats.OffscreenEvicts += q.Evicted - evicted
+		s.met.offscreenEvicts.Add(int64(q.Evicted - evicted))
+		s.Stats.OffscreenMerges += q.Merged - merged
+		s.met.offscreenMerges.Add(int64(q.Merged - merged))
 		s.Stats.OffscreenCmds++
 		s.met.offscreenCmds.Inc()
 	}

@@ -154,6 +154,45 @@ func (b *Bitmap) SetBit(x, y int, v bool) {
 	}
 }
 
+// ConcatBitmaps returns a new bitmap holding a's columns followed by b's
+// (equal heights; it panics otherwise) — the text-run aggregation of §4.
+// Rows are moved a byte at a time: a's whole bytes are copied, b's are
+// shifted in behind a's last partial byte. Padding bits of either source
+// are masked off, so the result's rows are zero-padded whatever the
+// inputs carried; cache digests and wire vectors hash those bytes.
+func ConcatBitmaps(a, b *Bitmap) *Bitmap {
+	if a.H != b.H {
+		panic(fmt.Sprintf("fb.ConcatBitmaps: heights %d and %d", a.H, b.H))
+	}
+	out := NewBitmap(a.W+b.W, a.H)
+	as, bs, os := BitmapStride(a.W), BitmapStride(b.W), BitmapStride(out.W)
+	full, shift := a.W/8, uint(a.W%8)
+	aMask := ^byte(0xFF >> shift) // a's valid bits in its partial byte
+	bMask := byte(0xFF)           // b's valid bits in its last byte
+	if b.W%8 != 0 {
+		bMask = ^byte(0xFF >> uint(b.W%8))
+	}
+	for y := 0; y < a.H; y++ {
+		arow, brow, orow := a.Bits[y*as:(y+1)*as], b.Bits[y*bs:(y+1)*bs], out.Bits[y*os:(y+1)*os]
+		copy(orow, arow[:full])
+		var carry byte
+		if shift != 0 {
+			carry = arow[full] & aMask
+		}
+		for i, v := range brow {
+			if i == bs-1 {
+				v &= bMask
+			}
+			orow[full+i] = carry | v>>shift
+			carry = v << (8 - shift)
+		}
+		if full+bs < os {
+			orow[full+bs] = carry
+		}
+	}
+	return out
+}
+
 // FillBitmap paints r using bm as a stipple anchored at r's origin:
 // set bits take fg; clear bits take bg, unless transparent is true, in
 // which case clear bits leave the destination untouched. When fg or bg

@@ -90,6 +90,58 @@ func TestBitmapBits(t *testing.T) {
 	}
 }
 
+// concatBitmapsPerBit is the bit-at-a-time concatenation the text-run
+// merge used before ConcatBitmaps: the oracle the byte-shifting version
+// must match byte for byte (cache digests hash the packed rows).
+func concatBitmapsPerBit(a, b *Bitmap) *Bitmap {
+	out := NewBitmap(a.W+b.W, a.H)
+	for y := 0; y < a.H; y++ {
+		for x := 0; x < a.W; x++ {
+			out.SetBit(x, y, a.BitAt(x, y))
+		}
+		for x := 0; x < b.W; x++ {
+			out.SetBit(a.W+x, y, b.BitAt(x, y))
+		}
+	}
+	return out
+}
+
+// TestConcatBitmapsMatchesPerBit: every left width 0-40 (so every
+// a.W%8 with zero, one and several whole bytes before it) against every
+// right width 0-40, random heights, and sources whose padding bits are
+// dirty — the result's rows must still be zero-padded.
+func TestConcatBitmapsMatchesPerBit(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	dirty := func(w, h int) *Bitmap {
+		bm := NewBitmap(w, h)
+		rnd.Read(bm.Bits) // padding bits included
+		return bm
+	}
+	for aw := 0; aw <= 40; aw++ {
+		for bw := 0; bw <= 40; bw++ {
+			h := rnd.Intn(9)
+			a, b := dirty(aw, h), dirty(bw, h)
+			aBits, bBits := append([]byte(nil), a.Bits...), append([]byte(nil), b.Bits...)
+			got, want := ConcatBitmaps(a, b), concatBitmapsPerBit(a, b)
+			if got.W != want.W || got.H != want.H || string(got.Bits) != string(want.Bits) {
+				t.Fatalf("%d+%d wide, %d high: got %x, want %x", aw, bw, h, got.Bits, want.Bits)
+			}
+			if string(a.Bits) != string(aBits) || string(b.Bits) != string(bBits) {
+				t.Fatalf("%d+%d wide: a source bitmap was modified", aw, bw)
+			}
+		}
+	}
+}
+
+func TestConcatBitmapsHeightMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("concatenating bitmaps of unequal height should panic")
+		}
+	}()
+	ConcatBitmaps(NewBitmap(3, 2), NewBitmap(3, 4))
+}
+
 func TestFillBitmapOpaqueAndTransparent(t *testing.T) {
 	f := New(6, 2)
 	f.FillSolid(f.Bounds(), pixel.RGB(10, 10, 10))

@@ -190,7 +190,15 @@ func TestAuditDisabled(t *testing.T) {
 }
 
 func TestAuditDeferredWhileDegraded(t *testing.T) {
-	host, addr := startHost(t, 96, 64, auditOptions())
+	opts := auditOptions()
+	// A hard pin: with the controller running, a forced rung drifts back
+	// to lossless on an idle link within a few ticks (see ForceRung) and
+	// a legitimate probe fires inside the watch window.
+	opts.DisableOverload = true
+	// Heartbeats at the audit cadence are the watch window's clock: the
+	// same loop that answers a heartbeat tick runs the audit ticks.
+	opts.HeartbeatInterval = opts.AuditInterval
+	host, addr := startHost(t, 96, 64, opts)
 	conn, err := client.Dial(addr, "owner", "pw", 96, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +215,17 @@ func TestAuditDeferredWhileDegraded(t *testing.T) {
 	// Pin a lossy rung: probes must stop (a lossy screen never
 	// byte-matches), then resume once the ladder recovers.
 	host.ForceRung(2)
-	time.Sleep(30 * time.Millisecond) // drain any probe already in flight
+	// The notice leaves from the loop that sends probes, after the pin:
+	// once the client holds it, any probe decided before the pin has
+	// been counted and every later audit tick sees the lossy rung.
+	waitFor(t, "rung notice", func() bool {
+		return conn.Stats().DegradeRung == 2
+	})
 	before := host.Resilience().AuditProbes
-	time.Sleep(60 * time.Millisecond)
+	pongs := conn.Stats().PongsSent
+	waitFor(t, "five heartbeat periods of audit ticks", func() bool {
+		return conn.Stats().PongsSent >= pongs+6
+	})
 	if got := host.Resilience().AuditProbes; got != before {
 		t.Errorf("audited a degraded client: %d -> %d probes", before, got)
 	}

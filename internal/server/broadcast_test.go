@@ -161,8 +161,13 @@ func TestMaxViewersEnforced(t *testing.T) {
 		t.Fatalf("owner blocked by viewer bound: %v", err)
 	}
 	owner.Close()
+}
 
-	// Negative disables the bound entirely.
+// TestMaxViewersNegativeDisablesBound is its own test so that each
+// leak-checked host has the test to itself: a second startHost in one
+// test snapshots goroutines while the first host is still serving, and
+// any goroutine that host starts a moment later reads as a leak.
+func TestMaxViewersNegativeDisablesBound(t *testing.T) {
 	hostOff, addrOff := startHost(t, 64, 48, Options{FlushInterval: time.Millisecond, MaxViewers: -1})
 	hostOff.gate.SetSessionPassword("watch")
 	for i := 0; i < 3; i++ {

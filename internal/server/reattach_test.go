@@ -99,6 +99,7 @@ func TestWarmReattachKeepsCache(t *testing.T) {
 	for cycle := 1; cycle <= 2; cycle++ {
 		entriesBefore := conn.Stats().CacheEntries
 		paintedBefore := conn.Stats().CachePainted
+		storedBefore := conn.Stats().CacheStored
 		td.kill()
 		<-runDone
 		waitFor(t, "session detached", func() bool { return host.NumDetached() >= 1 })
@@ -124,6 +125,15 @@ func TestWarmReattachKeepsCache(t *testing.T) {
 		// reattach needs it.
 		waitFor(t, "post-reattach convergence", func() bool {
 			return conn.Snapshot().Checksum() == want && len(conn.Ticket()) > 0
+		})
+		// The screen was converged throughout, so that wait can return
+		// on the ticket alone. Wait for the resync itself — this small
+		// screen's tiles reach the client as one store or one paint —
+		// or the next cycle's kill discards a resync the server's model
+		// never got to record, and the one after it stores again.
+		waitFor(t, "warm resync delivered", func() bool {
+			st := conn.Stats()
+			return st.CacheStored+st.CachePainted > storedBefore+paintedBefore
 		})
 		if cycle == 2 {
 			// The second warm resync replays the tiles the first one
