@@ -48,7 +48,11 @@ bench-snapshot:
 # benchmark rides along: B/op staying flat from viewers=1 to viewers=8
 # is the translate-once/deliver-N contract. So does the §4 aggregation
 # benchmark (an 80-glyph run, a 256-scanline image) with the allocation
-# test that pins absorption as linear in the run, not quadratic.
+# test that pins absorption as linear in the run, not quadratic. And so
+# does the §5 pacing contract (TestPush*, both connection drivers):
+# first damage after an idle interval leaves at once, a sustained stream
+# stays within FlushBudget per FlushInterval, an idle connection runs no
+# pass and holds no timer.
 bench-smoke:
 	$(GO) test ./internal/wire/ -run 'ZeroAlloc|TestPayloadSizeMatchesAppend|TestBatch' -count=1
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime=1x -count=1
@@ -56,6 +60,7 @@ bench-smoke:
 	$(GO) test ./internal/core/ -run 'TestCacheHotPathZeroAlloc|TestAggregateRunAllocatesLinearly' -count=1
 	$(GO) test ./internal/fb/ -run 'TestDigestHotPathZeroAlloc' -count=1
 	$(GO) test ./internal/fb/ -run '^$$' -bench BenchmarkTileDigest -benchtime=100x -count=1
+	$(GO) test ./internal/server/ -run 'TestPush' -count=1
 
 # End-to-end latency smoke: a short live sweep (2 workloads x loopback +
 # shaped WAN x 2 pinned rungs) through the wire-v5 mark loop. The run

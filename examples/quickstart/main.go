@@ -32,8 +32,7 @@ func main() {
 	accounts.Add("alice", "secret")
 	gate := auth.NewAuthenticator("alice", accounts)
 	host := server.NewHost(640, 480, gate, server.Options{
-		Core:          core.Options{RawCodec: compress.CodecPNG},
-		FlushInterval: time.Millisecond,
+		Core: core.Options{RawCodec: compress.CodecPNG},
 	})
 
 	// 2. Connect a client over an in-memory pipe (swap in net.Dial for

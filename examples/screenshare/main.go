@@ -36,8 +36,7 @@ func main() {
 	gate.SetSessionPassword("join-me") // enable peers
 
 	h := server.NewHost(480, 320, gate, server.Options{
-		Core:          core.Options{RawCodec: compress.CodecPNG},
-		FlushInterval: time.Millisecond,
+		Core: core.Options{RawCodec: compress.CodecPNG},
 	})
 
 	// A recorder is a third, file-bound viewer.

@@ -176,6 +176,10 @@ func reattachOptions(s ReattachSchedule) server.Options {
 	}
 	if s.Mode == ReattachStorm {
 		opts.CacheKB = 0 // every reattach is a gated full resync
+		// The 24 KB resync would leave in the first delivery pass,
+		// microseconds after the attach; a dozen paced passes make each
+		// admitted reattacher hold its slot long enough to be contended.
+		opts.FlushBudget = 2 << 10
 		opts.ResyncAdmit = s.Budget
 		opts.ResyncRetryAfter = 15 * time.Millisecond
 		opts.MaxViewers = s.Clients + 1

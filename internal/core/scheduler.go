@@ -126,10 +126,10 @@ type ClientBuffer struct {
 
 	// onQueued, when set, fires after every successful insert (Add,
 	// AddSlot, AddFrame — replacements included). It is the damage
-	// hook of the event-driven delivery core: the server arms a paced
-	// flush only when there is something to deliver, so an idle
-	// session costs no timer at all. Called under whatever lock guards
-	// the buffer, so it must be cheap and must not call back in.
+	// hook of push delivery: the server runs a delivery pass when there
+	// is something to deliver, not on a clock, so an idle session costs
+	// no timer at all. Called under whatever lock guards the buffer, so
+	// it must be cheap and must not call back in.
 	onQueued func()
 }
 

@@ -54,7 +54,7 @@ func RungName(r int) string {
 }
 
 // ewmaAlpha weighs new samples into the running estimates. One third
-// reacts within a few flush ticks without chasing single-batch noise.
+// reacts within a few delivery passes without chasing single-batch noise.
 const ewmaAlpha = 1.0 / 3
 
 // Estimator tracks one client's drain bandwidth and round-trip time.

@@ -198,6 +198,10 @@ func TestAuditDeferredWhileDegraded(t *testing.T) {
 	// Heartbeats at the audit cadence are the watch window's clock: the
 	// same loop that answers a heartbeat tick runs the audit ticks.
 	opts.HeartbeatInterval = opts.AuditInterval
+	// ...but not the liveness clock: the default timeout of three
+	// intervals is 30ms here, and one scheduling stall that long reaps
+	// the connection, after which no pong is ever counted again.
+	opts.HeartbeatTimeout = 20 * time.Second
 	host, addr := startHost(t, 96, 64, opts)
 	conn, err := client.Dial(addr, "owner", "pw", 96, 64)
 	if err != nil {

@@ -11,11 +11,15 @@ import (
 )
 
 // e2eOptions: fast flush and mark cadence so a test sees acked marks in
-// milliseconds, with the audit off to keep the wire quiet.
+// milliseconds, with the audit off to keep the wire quiet. Heartbeats
+// are fast because they age out unanswered marks; the liveness timeout
+// is not (its default, three intervals, would reap the connection on
+// one 30ms scheduling stall, and a reaped peer never reaches a verdict).
 func e2eOptions() Options {
 	return Options{
 		FlushInterval:     time.Millisecond,
 		HeartbeatInterval: 10 * time.Millisecond,
+		HeartbeatTimeout:  20 * time.Second,
 		MarkInterval:      time.Millisecond,
 		MarkTimeout:       150 * time.Millisecond,
 		DisableAudit:      true,

@@ -257,6 +257,10 @@ func TestReattachStormAdmission(t *testing.T) {
 	opts.ResyncAdmit = budget
 	opts.ResyncRetryAfter = 20 * time.Millisecond
 	opts.MaxViewers = clients + 1
+	// A 24 KB cold resync would leave in the first delivery pass,
+	// microseconds after the attach; spread it over a dozen paced passes
+	// so each admitted reattacher really holds its slot for a while.
+	opts.FlushBudget = 2 << 10
 	host, addr := startHost(t, 96, 64, opts)
 	paintReattachScene(host)
 

@@ -41,30 +41,59 @@ func (h *Host) Record(w io.Writer) *Recorder {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	// The recorder is driven like any connection (see pace.go): the
+	// damage hook wakes it, and the pacing rule holds a pass back only
+	// while a stream is in progress — an idle screen costs no wakeups.
+	wake := make(chan struct{}, 1) // the pusher keeps one request pending at most
+	wakeUp := func() {
+		select { // under h.mu: never block
+		case wake <- struct{}{}:
+		default:
+		}
+	}
+	push := newPusher(h.opts.FlushInterval, wakeUp)
 	h.mu.Lock()
 	cl := h.core.AttachClient(0, 0) // full session geometry
+	cl.Buf.SetOnQueued(push.request)
 	h.mu.Unlock()
+	push.request() // the attach queued the initial screen before the hook existed
 
+	pass := func(bool) (wrote, more bool, err error) {
+		h.mu.Lock()
+		msgs := cl.Flush(h.opts.FlushBudget)
+		more = cl.Buf.Len() > 0
+		h.mu.Unlock()
+		for _, m := range msgs {
+			if err := r.write(m); err != nil {
+				return false, false, err
+			}
+		}
+		return len(msgs) > 0, more, nil
+	}
+	pending := func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return cl.Buf.Len() > 0
+	}
 	go func() {
 		defer close(r.done)
-		t := time.NewTicker(h.opts.FlushInterval)
-		defer t.Stop()
+		paced := newPacedTimer(wakeUp)
+		defer paced.Stop()
 		for {
 			select {
 			case <-r.stop:
 				return
-			case <-t.C:
+			case <-wake:
 			}
-			h.mu.Lock()
-			msgs := cl.Flush(h.opts.FlushBudget)
-			h.mu.Unlock()
-			for _, m := range msgs {
-				if err := r.write(m); err != nil {
-					r.mu.Lock()
-					r.err = err
-					r.mu.Unlock()
-					return
-				}
+			wait, err := push.deliver(pass, pending)
+			if err != nil {
+				r.mu.Lock()
+				r.err = err
+				r.mu.Unlock()
+				return
+			}
+			if wait > 0 {
+				paced.Reset(wait)
 			}
 		}
 	}()

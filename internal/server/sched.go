@@ -13,17 +13,18 @@ import (
 )
 
 // This file is the sharded, event-driven connection driver selected by
-// Options.Sched. The classic driver (run) spends two goroutines and
-// three tickers per connection; at thousands of sessions the scheduler
-// and timer heaps dominate the host. Under Sched every connection is
+// Options.Sched. The classic driver (run) spends two goroutines, two
+// tickers and a pacing timer per connection; at thousands of sessions
+// the scheduler and timer heaps dominate the host. Under Sched every connection is
 // one shard.Task on a fixed worker pool, its pacing rides the shared
 // timer wheel, and — crucially — an idle session arms nothing at all:
-// the damage hook (core.ClientBuffer.SetOnQueued) arms a one-shot
-// flush timer only when there is something to deliver, heartbeats are
-// batched wheel entries, and the pump runs only when a timer or an
-// inbound control message wakes it. Wire behavior is byte-identical to
-// the goroutine driver; flushTick, heartbeatTick, auditTick, and
-// dispatch are the same code in both.
+// the damage hook (core.ClientBuffer.SetOnQueued) wakes the pump when
+// there is something to deliver, a one-shot wheel entry is booked only
+// for a pass the pacing rule holds back, heartbeats are batched wheel
+// entries, and the pump runs only when damage, a timer or an inbound
+// control message wakes it. Wire behavior is byte-identical to the
+// goroutine driver; the pacing rule (pace.go), flushTick,
+// heartbeatTick, auditTick, and dispatch are the same code in both.
 type schedConn struct {
 	task *shard.Task
 	sess *session
@@ -33,22 +34,21 @@ type schedConn struct {
 	batch *wire.Batch
 	queue func(wire.Message) error
 	flush func() error
+	// pass and pending are the pusher's view of this connection, bound
+	// once so a pump run allocates nothing.
+	pass    func(paced bool) (wrote, more bool, err error)
+	pending func() bool
 
 	hbTimer    *shard.Timer // periodic heartbeat wheel entry
 	auditTimer *shard.Timer // periodic audit wheel entry (nil when disabled)
 
-	// due flags, set by wheel callbacks and consumed by the pump. A
-	// timer callback only stores a flag and wakes the task, so wheel
-	// advancing never blocks on connection work.
+	// due flags, set by wheel callbacks (flushDue also by the damage
+	// hook, see wakeFlush) and consumed by the pump. A timer callback
+	// only stores a flag and wakes the task, so wheel advancing never
+	// blocks on connection work.
 	hbDue    atomic.Bool
 	auditDue atomic.Bool
 	flushDue atomic.Bool
-
-	// flushArmed marks that a flush timer pass is pending; the damage
-	// hook arms at most one, and the pump re-arms while backlog, an
-	// active degradation rung, or a held admission slot still needs
-	// paced ticks.
-	flushArmed atomic.Bool
 
 	// lastIn is the unix-nano time of the last inbound message; the
 	// heartbeat pass reaps an event-driven peer silent past the
@@ -88,15 +88,14 @@ func (c *serverConn) initSched(sess *session, event bool) {
 	s.event = event
 	s.batch = wire.NewBatch()
 	s.queue, s.flush = c.makeQueueFlush(s.batch)
+	s.pass, s.pending = c.flushPass(s.batch, s.queue, s.flush), c.flushPending
 	s.done = make(chan struct{})
 	s.finC = make(chan struct{})
 	s.lastIn.Store(time.Now().UnixNano())
 	s.task = c.host.opts.Sched.Pool().Task(shard.Hash(sess.ticket), c.pump)
 }
 
-// startSched arms the periodic wheel entries and the initial flush:
-// the attach/reattach resync was queued into the client buffer before
-// the damage hook was installed, so the first arm cannot rely on it.
+// startSched arms the periodic wheel entries.
 func (c *serverConn) startSched() {
 	s := &c.sched
 	w := c.host.opts.Sched.Wheel()
@@ -110,27 +109,6 @@ func (c *serverConn) startSched() {
 			s.task.Wake()
 		})
 	}
-	c.armFlush()
-}
-
-// armFlush is the damage hook: called (under h.mu) whenever a command
-// is queued for this client. At most one flush pass is armed at a
-// time; an idle session therefore holds no flush timer at all.
-func (c *serverConn) armFlush() {
-	if c.sched.flushArmed.CompareAndSwap(false, true) {
-		c.scheduleFlush()
-	}
-}
-
-// scheduleFlush books the pending flush pass on the wheel, one
-// FlushInterval out — the same pacing the goroutine driver's ticker
-// provides, but only while there is work.
-func (c *serverConn) scheduleFlush() {
-	s := &c.sched
-	c.host.opts.Sched.Wheel().After(c.host.opts.FlushInterval, func() {
-		s.flushDue.Store(true)
-		s.task.Wake()
-	})
 }
 
 // wakeControl nudges the pump after dispatch queued a control answer
@@ -221,24 +199,14 @@ func (c *serverConn) pumpOnce() error {
 		}
 	}
 	if s.flushDue.Swap(false) {
-		backlog, err := c.flushTick(s.batch, s.queue, s.flush)
+		wait, err := c.push.deliver(s.pass, s.pending)
 		if err != nil {
 			return err
 		}
-		if backlog > 0 || atomic.LoadInt32(&c.rung) > 0 || c.gateHeld.Load() {
-			// Backlog still to drain, or the overload controller needs
-			// paced ticks to walk the ladder back down.
-			c.scheduleFlush()
-		} else {
-			s.flushArmed.Store(false)
-			// Damage queued between the drain and the disarm saw
-			// flushArmed still true and skipped arming; recheck.
-			c.host.mu.Lock()
-			n := c.cl.Buf.QueuedBytes()
-			c.host.mu.Unlock()
-			if n > 0 {
-				c.armFlush()
-			}
+		if wait > 0 {
+			// The pacing rule holds the next pass back: book it on the
+			// wheel, which never fires it early.
+			c.host.opts.Sched.Wheel().NotBefore(wait, c.push.wake)
 		}
 	}
 	return nil

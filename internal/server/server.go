@@ -44,10 +44,14 @@ var slogger = logx.Component("server")
 type Options struct {
 	// Core configures the translation layer (compression, ablations).
 	Core core.Options
-	// FlushInterval paces the delivery loop; zero means 5ms.
+	// FlushInterval is the minimum spacing between delivery passes; an
+	// idle connection's first damage is delivered at once. Zero means
+	// 5ms.
 	FlushInterval time.Duration
-	// FlushBudget bounds bytes per flush (socket-buffer model); zero
-	// means 256 KiB.
+	// FlushBudget bounds the bytes one delivery pass drains, measured
+	// as the commands' pre-compression wire size (socket-buffer model);
+	// with FlushInterval it sets the worst-case rate. Zero means
+	// 256 KiB.
 	FlushBudget int
 	// HeartbeatInterval paces server→client Pings; zero means 1s.
 	HeartbeatInterval time.Duration
@@ -796,15 +800,21 @@ func (h *Host) handshake(nc net.Conn) (*hsResult, error) {
 
 // attachConn builds the live connection state a completed handshake
 // drives: the serverConn, its overload controller, rung carry-over,
-// audio tap, registration in the conns set, and — under Sched — the
-// shard task, wheel timers, and damage-wake hook.
+// audio tap, registration in the conns set, the damage-wake hook with
+// the request for the first delivery pass, and — under Sched — the
+// shard task and wheel timers.
 func (h *Host) attachConn(nc net.Conn, hr *hsResult, event bool) *serverConn {
 	sc := &serverConn{host: h, nc: nc, enc: hr.enc, cl: hr.cl, user: hr.user, role: hr.role,
-		pongs:   make(chan *wire.Pong, 8),
-		replies: make(chan *wire.AuditReply, 4),
-		acks:    make(chan *wire.MarkAck, 8), noticeRung: -1}
+		pongs:    make(chan *wire.Pong, 8),
+		replies:  make(chan *wire.AuditReply, 4),
+		acks:     make(chan *wire.MarkAck, 8),
+		flushReq: make(chan struct{}, 1), noticeRung: -1}
+	sc.push = newPusher(h.opts.FlushInterval, sc.wakeFlush)
 	if hr.gated {
 		sc.gateHeld.Store(true)
+	}
+	if h.opts.Sched != nil {
+		sc.initSched(hr.sess, event) // before anything can request a pass
 	}
 	// A reattach already queued a full-screen resync, which heals any
 	// divergence an interrupted escalation sweep was chasing; the legacy
@@ -825,23 +835,20 @@ func (h *Host) attachConn(nc net.Conn, hr *hsResult, event bool) *serverConn {
 		h.core.PushAudio(pts, pcm)
 	})
 
-	if h.opts.Sched != nil {
-		sc.initSched(hr.sess, event)
-	}
 	h.mu.Lock()
 	h.conns[sc] = struct{}{}
 	h.connSeq++
 	label := fmt.Sprintf("%s#%d", hr.user, h.connSeq)
-	if h.opts.Sched != nil {
-		// The damage wake: any command queued for this client arms a
-		// paced flush timer. Set under h.mu like every Buf access.
-		sc.cl.Buf.SetOnQueued(sc.armFlush)
-	}
+	// The damage wake: any command queued for this client requests a
+	// delivery pass. Set under h.mu like every Buf access.
+	sc.cl.Buf.SetOnQueued(sc.push.request)
 	h.mu.Unlock()
 	h.met.registerConn(h, label, sc)
 	if h.opts.Sched != nil {
 		sc.startSched()
 	}
+	// The attach/reattach resync was queued before the hook existed.
+	sc.push.request()
 	return sc
 }
 
@@ -855,9 +862,7 @@ func (h *Host) finishConn(sc *serverConn, sess *session, err error) {
 	}
 	h.mu.Lock()
 	delete(h.conns, sc)
-	if sc.sched.task != nil {
-		sc.cl.Buf.SetOnQueued(nil)
-	}
+	sc.cl.Buf.SetOnQueued(nil)
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		h.stats.Reaps++
@@ -944,6 +949,15 @@ type serverConn struct {
 	// flush loop, which owns the encoder, emits the notice.
 	noticeRung int32
 
+	// push paces delivery (see pace.go): the damage hook and out-of-band
+	// nudges request a pass, the flush driver runs it. flushReq carries
+	// the wake to the goroutine flush loop (the sharded pump is woken as
+	// a task instead); wrote counts the bytes the flush driver has
+	// committed, so a pass can tell whether it delivered anything.
+	push     *pusher
+	flushReq chan struct{}
+	wrote    int64
+
 	// pingSeq numbers outgoing heartbeats; owned by the flush driver
 	// (flush loop or shard pump), which is the sole sender.
 	pingSeq uint32
@@ -969,12 +983,56 @@ func (c *serverConn) forceRung(rung int) {
 		c.ctrl.ForceRung(rung)
 	}
 	c.estMu.Unlock()
-	// The classic driver's 5ms flush ticker would deliver the parked
-	// notice on its own; the sharded pump arms flush passes only on
-	// damage, so an idle scheduled session must be nudged explicitly.
-	if c.sched.task != nil {
-		c.armFlush()
+	// No damage comes with a rung change, so ask for the pass that
+	// emits the parked notice.
+	c.push.request()
+}
+
+// wakeFlush is the pusher's wake: it hands the flush driver the request
+// for a delivery pass, at once or (from the pacing timer) when a held
+// pass falls due. The damage hook calls it under h.mu, so the send to
+// the goroutine driver must not block; the pusher keeps at most one
+// request pending, so the one slot is free whenever it is needed.
+func (c *serverConn) wakeFlush() {
+	if s := &c.sched; s.task != nil {
+		s.flushDue.Store(true)
+		s.task.Wake()
+		return
 	}
+	select {
+	case c.flushReq <- struct{}{}:
+	default:
+	}
+}
+
+// flushPass binds flushTick to a driver's batch as the pusher's pass,
+// and flushPending is the pusher's check for work a request was made
+// for (queued commands, a parked notice); both drivers build the pair
+// once per connection.
+func (c *serverConn) flushPass(batch *wire.Batch, queue func(wire.Message) error, flush func() error) func(bool) (bool, bool, error) {
+	return func(paced bool) (wrote, more bool, err error) {
+		if paced {
+			c.host.met.flushPassesPaced.Inc()
+		} else {
+			c.host.met.flushPassesDamage.Inc()
+		}
+		before := c.wrote
+		backlog, err := c.flushTick(batch, queue, flush)
+		// Backlog needs further passes; an active rung needs the cadence
+		// for the controller to walk back down; a held admission slot is
+		// released by the first pass that finds the backlog drained.
+		more = backlog > 0 || atomic.LoadInt32(&c.rung) > 0 || c.gateHeld.Load()
+		return c.wrote != before, more, err
+	}
+}
+
+func (c *serverConn) flushPending() bool {
+	if atomic.LoadInt32(&c.noticeRung) >= 0 {
+		return true
+	}
+	c.host.mu.Lock()
+	defer c.host.mu.Unlock()
+	return c.cl.Buf.Len() > 0
 }
 
 // run pumps the reader and the flush loop until either fails, then
@@ -1152,17 +1210,18 @@ func (c *serverConn) logUnknown(err error) {
 	}
 }
 
-// flushLoop is the delivery engine: every interval it drains up to the
-// budget from the client buffer and writes the messages out. All
-// budgeted messages are framed into one pooled batch buffer (large
-// pixel slabs ride along by reference) and committed with a single
-// vectored write — the non-blocking socket commit of §5 over a real
-// TCP connection, with no per-message allocation. It also owns the
-// write side of the heartbeat (Pings out, Pong echoes out) and applies
-// the slow-client policy when the backlog outgrows its bound.
+// flushLoop is the delivery engine: when damage or the pacing timer
+// wakes it, it drains up to the budget from the client buffer and
+// writes the messages out. All budgeted messages are framed into one
+// pooled batch buffer (large pixel slabs ride along by reference) and
+// committed with a single vectored write — the non-blocking socket
+// commit of §5 over a real TCP connection, with no per-message
+// allocation. It also owns the write side of the heartbeat (Pings out,
+// Pong echoes out) and applies the slow-client policy when the backlog
+// outgrows its bound.
 func (c *serverConn) flushLoop(done <-chan struct{}) error {
-	t := time.NewTicker(c.host.opts.FlushInterval)
-	defer t.Stop()
+	paced := newPacedTimer(c.wakeFlush)
+	defer paced.Stop()
 	hb := time.NewTicker(c.host.opts.HeartbeatInterval)
 	defer hb.Stop()
 	var auditC <-chan time.Time
@@ -1174,6 +1233,7 @@ func (c *serverConn) flushLoop(done <-chan struct{}) error {
 	batch := wire.NewBatch()
 	defer batch.Release()
 	queue, flush := c.makeQueueFlush(batch)
+	pass, pending := c.flushPass(batch, queue, flush), c.flushPending
 
 	for {
 		select {
@@ -1198,9 +1258,15 @@ func (c *serverConn) flushLoop(done <-chan struct{}) error {
 			if err := c.heartbeatTick(queue, flush); err != nil {
 				return err
 			}
-		case <-t.C:
-			if _, err := c.flushTick(batch, queue, flush); err != nil {
+		case <-c.flushReq:
+			wait, err := c.push.deliver(pass, pending)
+			if err != nil {
 				return err
+			}
+			if wait > 0 {
+				// The pacing rule holds the next pass back: the timer
+				// sends the request again when it is due.
+				paced.Reset(wait)
 			}
 		}
 	}
@@ -1227,7 +1293,8 @@ func (c *serverConn) makeQueueFlush(batch *wire.Batch) (queue func(wire.Message)
 			return nil
 		}
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.host.opts.WriteTimeout))
-		_, err := batch.WriteTo(c.enc)
+		n, err := batch.WriteTo(c.enc)
+		c.wrote += n
 		batch.Reset()
 		return err
 	}
@@ -1253,11 +1320,11 @@ func (c *serverConn) heartbeatTick(queue func(wire.Message) error, flush func() 
 	return nil
 }
 
-// flushTick runs one delivery interval: drain up to the budget from
-// the client buffer, commit the batch in one vectored write, run the
+// flushTick runs one delivery pass: drain up to the budget from the
+// client buffer, commit the batch in one vectored write, run the
 // overload controller, and apply the slow-client policy. It returns
-// the post-flush backlog so the caller can decide whether another tick
-// is needed (the sharded pump re-arms only while backlog remains).
+// the post-flush backlog so the caller can decide whether another pass
+// is needed.
 func (c *serverConn) flushTick(batch *wire.Batch, queue func(wire.Message) error, flush func() error) (int, error) {
 	met := c.host.met
 	var msgs []wire.Message

@@ -27,6 +27,10 @@ type hostMetrics struct {
 	hbRTT      *telemetry.Histogram
 	flushBatch *telemetry.Histogram
 
+	// Delivery passes by what let them run: at once on damage, or held
+	// back to the pacing rule's due time (see pace.go).
+	flushPassesDamage, flushPassesPaced *telemetry.Counter
+
 	attaches, reattaches, reaps, slowResyncs *telemetry.Counter
 	expiredSessions, skippedUnknown          *telemetry.Counter
 	badHandshakes, heartbeatsSent            *telemetry.Counter
@@ -109,7 +113,13 @@ func newHostMetrics(reg *telemetry.Registry, tr *telemetry.Tracer) *hostMetrics 
 		hbRTT: reg.Histogram("thinc_heartbeat_rtt_us",
 			"round-trip time of server heartbeats", telemetry.LatencyBucketsUS),
 		flushBatch: reg.Histogram("thinc_server_flush_batch_bytes",
-			"wire bytes written per non-empty flush tick", telemetry.ByteBuckets),
+			"wire bytes written per non-empty delivery pass", telemetry.ByteBuckets),
+		flushPassesDamage: reg.Counter("thinc_server_flush_passes_total",
+			"delivery passes by trigger: at once on damage, or paced by FlushInterval",
+			telemetry.L("trigger", "damage")),
+		flushPassesPaced: reg.Counter("thinc_server_flush_passes_total",
+			"delivery passes by trigger: at once on damage, or paced by FlushInterval",
+			telemetry.L("trigger", "paced")),
 		attaches: reg.Counter("thinc_session_attaches_total",
 			"fresh client attaches"),
 		reattaches: reg.Counter("thinc_session_reattaches_total",

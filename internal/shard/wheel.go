@@ -203,6 +203,17 @@ func (w *Wheel) After(d time.Duration, fn func()) *Timer {
 	return t
 }
 
+// NotBefore is After for callers that must never run early. After
+// counts whole ticks from the wheel's last fired position, which trails
+// the clock, so it can fire up to two ticks short of d; NotBefore picks
+// the first tick that lies wholly past now+d and so fires within
+// [d, d+2 ticks).
+func (w *Wheel) NotBefore(d time.Duration, fn func()) *Timer {
+	t := &Timer{w: w, fn: fn, deadline: int64((time.Since(w.start)+d)/w.tick) + 1}
+	w.insert(t)
+	return t
+}
+
 // Every schedules fn to run about every d, first firing one period
 // from now. The returned Timer cancels the series when stopped.
 func (w *Wheel) Every(d time.Duration, fn func()) *Timer {

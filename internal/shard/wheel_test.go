@@ -180,6 +180,34 @@ func TestWheelLiveDriver(t *testing.T) {
 	tm.Stop()
 }
 
+// TestWheelNotBeforeNeverEarly: After counts ticks from the last fired
+// position, which trails the clock, so it can run short of d; NotBefore
+// counts from the clock itself. Run against a live wheel whose tick is
+// coarse next to d, where After's shortfall would be plain.
+func TestWheelNotBeforeNeverEarly(t *testing.T) {
+	w := NewWheel(5*time.Millisecond, 64)
+	w.Start()
+	defer w.Stop()
+	const d = 7 * time.Millisecond
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Duration(i%5) * time.Millisecond) // every phase of the tick
+		at := time.Now()
+		fired := make(chan time.Duration, 1)
+		w.NotBefore(d, func() { fired <- time.Since(at) })
+		select {
+		case took := <-fired:
+			if took < d {
+				t.Fatalf("NotBefore(%v) fired after %v", d, took)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("NotBefore timer never fired")
+		}
+	}
+	if st := w.Stats(); st.Pending != 0 {
+		t.Fatalf("stats = %+v, want Pending=0", st)
+	}
+}
+
 func TestWheelStopIdempotent(t *testing.T) {
 	w := NewWheel(time.Millisecond, 8)
 	w.Start()

@@ -13,8 +13,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	accounts := NewAccounts()
 	accounts.Add("alice", "secret")
 	host := NewHost(320, 240, NewAuthenticator("alice", accounts), HostOptions{
-		Core:          CoreOptions{RawCodec: CodecPNG},
-		FlushInterval: time.Millisecond,
+		Core: CoreOptions{RawCodec: CodecPNG},
 	})
 
 	serverSide, clientSide := net.Pipe()
