@@ -104,12 +104,15 @@ bench-load-smoke:
 # the protocol's load-bearing edge case — a truncated v7 hello must
 # decode as a v6/v5/... hello, never as a warm-cache claim — so the
 # decoders get continuous adversarial input, not just the frozen seeds.
+# FuzzFillBitmap checks the byte-wise stipple kernel every BITMAP is
+# painted with against the per-pixel oracle it replaced.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzVideoFrame -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzAudioData -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzCacheStore -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzAuditReply -fuzztime 30s
+	$(GO) test ./internal/fb/ -run '^$$' -fuzz FuzzFillBitmap -fuzztime 30s
 
 # Regenerate the golden wire vectors under internal/wire/testdata/
 # after a deliberate protocol change: the frozen-vector tests rewrite

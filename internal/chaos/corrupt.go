@@ -38,9 +38,6 @@ const auditTile = 16
 const (
 	corruptTileW = auditTile
 	corruptTileH = auditTile
-	// corruptDrawPayload is the eligible payload of one such draw: a
-	// CodecNone RAW of tile pixels (the 14-byte meta is ineligible).
-	corruptDrawPayload = corruptTileW * corruptTileH * 4
 )
 
 // CorruptSchedule scripts one silent-corruption run.
@@ -48,9 +45,8 @@ type CorruptSchedule struct {
 	Name string
 	Seed int64
 	// Tiles is how many distinct audit tiles the corruption phase draws
-	// (and therefore the exact number of tiles that diverge: the fixed
-	// flip stride guarantees at least one flip per draw, and the flip
-	// budget is exhausted by the last draw's payload).
+	// (and therefore the exact number of tiles that diverge: the
+	// corrupter aims exactly one flip at each drawn tile).
 	Tiles int
 	// Escalate marks the broad-damage run: enough divergent tiles that
 	// the audit must climb the ladder to a full resync.
@@ -162,19 +158,29 @@ func RunCorruption(s CorruptSchedule) (CorruptResult, error) {
 	}
 	defer conn.Close()
 
+	// The tiles the corruption phase draws, each one audit tile.
+	grid := rand.New(rand.NewSource(s.Seed)).Perm(
+		(screenW / corruptTileW) * (screenH / corruptTileH))
+	cols := screenW / corruptTileW
+	picked := grid[:s.Tiles]
+	tiles := make([]geom.Rect, s.Tiles)
+	for i, ti := range picked {
+		tiles[i] = geom.XYWH((ti%cols)*corruptTileW, (ti/cols)*corruptTileH,
+			corruptTileW, corruptTileH)
+	}
+
 	// The corrupter sits on the decrypted read stream, below the
-	// decoder. Installed dormant; phase two arms it. The fixed stride
-	// of half a draw payload puts exactly two flips in every corrupted
-	// draw — for any seed — and the budget of 2*Tiles flips runs out
-	// precisely at the end of the last draw, so the divergence set is
-	// exactly the drawn tiles.
+	// decoder. Installed dormant; phase two arms it. It aims one flip at
+	// each drawn tile, at the offset the tile's pixels take inside
+	// whichever RAW carries them — adjacent tiles drawn one after the
+	// other merge into one RAW (§4), and each must still diverge — so
+	// the divergence set is exactly the drawn tiles, for any seed.
 	var corr *faultconn.Corrupter
 	conn.SetReadWrapper(func(r io.Reader) io.Reader {
 		corr = faultconn.NewCorrupter(r, faultconn.CorruptPlan{
 			Seed:     s.Seed,
-			Gap:      corruptDrawPayload / 2,
-			Fixed:    true,
-			MaxFlips: int64(2 * s.Tiles),
+			Targets:  tiles,
+			MaxFlips: int64(s.Tiles),
 		})
 		corr.Disable()
 		return corr
@@ -199,25 +205,19 @@ func RunCorruption(s CorruptSchedule) (CorruptResult, error) {
 	// corrupter armed; the flips ride those payloads and nothing
 	// overdraws them, so every divergence persists until audited.
 	workRnd := rand.New(rand.NewSource(s.Seed ^ 0x1e3779b97f4a7c15))
-	grid := rand.New(rand.NewSource(s.Seed)).Perm(
-		(screenW / corruptTileW) * (screenH / corruptTileH))
-	tiles := grid[:s.Tiles]
 	corr.Enable()
 	host.Do(func(d *xserver.Display) {
-		cols := screenW / corruptTileW
-		for _, ti := range tiles {
-			r := geom.XYWH((ti%cols)*corruptTileW, (ti/cols)*corruptTileH,
-				corruptTileW, corruptTileH)
+		for i, r := range tiles {
 			pix := make([]pixel.ARGB, corruptTileW*corruptTileH)
 			for j := range pix {
-				pix[j] = pixel.RGB(uint8(workRnd.Intn(256)), uint8(j), uint8(ti))
+				pix[j] = pixel.RGB(uint8(workRnd.Intn(256)), uint8(j), uint8(picked[i]))
 			}
 			d.PutImage(win, r, pix, corruptTileW)
 		}
 	})
-	// The flip budget empties exactly at the end of the last corrupted
-	// draw; wait for the whole injection to pass through the client.
-	for corr.Flips() < int64(2*s.Tiles) && time.Now().Before(deadline) {
+	// Every drawn tile takes its one flip; wait for the whole injection
+	// to pass through the client.
+	for corr.Flips() < int64(s.Tiles) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	res.Flips = corr.Flips()

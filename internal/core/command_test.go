@@ -344,6 +344,16 @@ func TestBitmapCmdMergeTextRun(t *testing.T) {
 	if !a.Bits.BitAt(6+'b'%6, 'b'%10) {
 		t.Error("right glyph ink lost")
 	}
+	// A fan-out clone shares the stipple: merging into the clone leaves
+	// its sibling's rect and bits as they were.
+	before := string(a.Bits.Bits)
+	clone := a.Clone().(*BitmapCmd)
+	if !clone.Merge(mk(22, 'e')) {
+		t.Fatal("a clone should absorb the next glyph")
+	}
+	if a.Rect != geom.XYWH(10, 20, 12, 10) || string(a.Bits.Bits) != before {
+		t.Error("merging into a clone changed its sibling")
+	}
 	// Mismatched color or geometry: no merge.
 	c := mk(22, 'c')
 	c.Fg = pixel.RGB(255, 0, 0)

@@ -221,6 +221,7 @@ func (b *ClientBuffer) evictForBudget(target int) geom.Region {
 		}
 		kept = append(kept, e)
 	}
+	clear(b.entries[len(kept):]) // victims must not stay reachable
 	b.entries = kept
 	b.Stats.BudgetEvicted += len(victims)
 	b.met.budgetEvicted.Add(int64(len(victims)))

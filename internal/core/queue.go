@@ -38,6 +38,7 @@ func (q *Queue) Commands() []Command { return q.cmds }
 
 // Clear drops everything.
 func (q *Queue) Clear() {
+	clear(q.cmds)
 	q.cmds = q.cmds[:0]
 }
 
@@ -66,6 +67,7 @@ func (q *Queue) Add(c Command) {
 			}
 			kept = append(kept, b)
 		}
+		clear(q.cmds[len(kept):])
 		q.cmds = kept
 	}
 	if n := len(q.cmds); n > 0 && q.cmds[n-1].Merge(c) {
@@ -98,7 +100,9 @@ func (q *Queue) enforceBudget() {
 		total -= q.cmds[i].WireSize()
 		q.Evicted++
 	}
-	q.cmds = append(q.cmds[:0], q.cmds[i:]...)
+	n := copy(q.cmds, q.cmds[i:])
+	clear(q.cmds[n:])
+	q.cmds = q.cmds[:n]
 }
 
 // LiveRegion returns the union of all queued commands' live regions.

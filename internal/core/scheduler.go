@@ -167,6 +167,7 @@ func (b *ClientBuffer) Clear() {
 	if b.met.Trace.Enabled() {
 		b.met.Trace.Event("sched.clear", fmt.Sprintf("dropped=%d", len(b.entries)))
 	}
+	clear(b.entries)
 	b.entries = b.entries[:0]
 }
 
@@ -269,6 +270,7 @@ func (b *ClientBuffer) Add(cmd Command) {
 			}
 			kept = append(kept, e)
 		}
+		clear(b.entries[len(kept):]) // evicted commands must not stay reachable
 		b.entries = kept
 	}
 
@@ -540,6 +542,7 @@ func (b *ClientBuffer) Flush(budget int) []wire.Message {
 				kept = append(kept, e)
 			}
 		}
+		clear(b.entries[len(kept):]) // delivered commands must not stay reachable
 		b.entries = kept
 	}
 	var flushed int64
@@ -616,6 +619,7 @@ func (b *ClientBuffer) FlushOne() []wire.Message {
 				kept = append(kept, x)
 			}
 		}
+		clear(b.entries[len(kept):]) // delivered commands must not stay reachable
 		b.entries = kept
 		b.lastFlush = FlushTrace{}
 		b.noteDelivered(e, time.Now().UnixNano())

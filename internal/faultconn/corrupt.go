@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"thinc/internal/compress"
+	"thinc/internal/geom"
 	"thinc/internal/wire"
 )
 
@@ -36,7 +37,26 @@ type CorruptPlan struct {
 	// one flip — for any seed — uses a fixed stride no longer than the
 	// region payload.
 	Fixed bool
+	// Targets, when set, replaces the stride: each rectangle (screen
+	// coordinates) takes exactly one flip, in a colour byte of one
+	// seeded pixel inside it, in the first uncompressed RAW that carries
+	// that pixel. The flip's payload offset is computed from the RAW's
+	// rectangle, so regions §4 merged into one RAW each still take their
+	// own flip. Gap and Fixed are ignored; MaxFlips still caps.
+	Targets []geom.Rect
 }
+
+// target is one Targets entry resolved to a pixel, byte and bit.
+type target struct {
+	x, y int
+	b    int  // byte within the big-endian ARGB pixel: 1-3, a colour
+	bit  uint // bit within that byte
+	hit  bool
+}
+
+// rawData is the payload offset of a RAW's pixel data: rect 8 + codec 1
+// + flags 1 + len 4.
+const rawData = 14
 
 // Corrupter is a frame-aware io.Reader filter over the decrypted
 // protocol stream (below the decoder, above the cipher). It parses
@@ -79,7 +99,14 @@ type Corrupter struct {
 	skip      int   // first eligible payload offset; -1: none eligible
 	stop      int   // first ineligible offset past skip; <=0: payload end
 	countdown int64 // eligible bytes until the next flip
+
+	targets []target
+	meta    [rawData]byte // the current RAW's payload bytes before its data
+	aims    []aim         // targets whose flip lands in the current RAW
 }
+
+// aim is a target's flip resolved to a payload offset of the current RAW.
+type aim struct{ off, target int }
 
 // NewCorrupter wraps r. The corrupter starts active; chaos schedules
 // that inject corruption only during one phase call Disable first and
@@ -96,6 +123,10 @@ func NewCorrupter(r io.Reader, plan CorruptPlan) *Corrupter {
 		maxFlips: plan.MaxFlips,
 	}
 	c.countdown = c.drawGap()
+	for _, r := range plan.Targets {
+		c.targets = append(c.targets, target{x: r.X0 + c.rnd.Intn(r.W()), y: r.Y0 + c.rnd.Intn(r.H()),
+			b: 1 + c.rnd.Intn(3), bit: uint(c.rnd.Intn(8))})
+	}
 	c.active.Store(true)
 	return c
 }
@@ -131,7 +162,7 @@ const cachePending = 1 << 30
 func eligibleWindow(t wire.Type) (skip, stop int) {
 	switch t {
 	case wire.TRaw:
-		return 14, 0 // rect 8 + codec 1 + flags 1 + len 4; codec re-checked in-stream
+		return rawData, 0 // codec re-checked in-stream
 	case wire.TSFill:
 		return 8, 0 // rect; then the color
 	case wire.TPFill:
@@ -205,7 +236,9 @@ func (c *Corrupter) filter(buf []byte) {
 				}
 			}
 		}
-		if c.skip >= 0 && c.payOff >= c.skip &&
+		if c.targets != nil {
+			c.flipTargets(buf, i)
+		} else if c.skip >= 0 && c.payOff >= c.skip &&
 			(c.stop <= 0 || c.payOff < c.stop) && c.active.Load() &&
 			(c.maxFlips == 0 || c.flips.Load() < c.maxFlips) {
 			c.countdown--
@@ -220,5 +253,40 @@ func (c *Corrupter) filter(buf []byte) {
 		if c.remaining == 0 {
 			c.hdrN = 0
 		}
+	}
+}
+
+// flipTargets is filter's Targets mode for payload byte buf[i]: it records a
+// RAW's rectangle as it streams past, resolves the unhit targets the RAW
+// carries to payload offsets in its rows once the metadata is complete,
+// and flips each one's byte as it arrives. Caller holds c.mu.
+func (c *Corrupter) flipTargets(buf []byte, i int) {
+	if c.typ != wire.TRaw || c.skip < 0 {
+		return
+	}
+	if c.payOff < rawData {
+		c.meta[c.payOff] = buf[i]
+		if c.payOff == rawData-1 {
+			be := func(o int) int { return int(c.meta[o])<<8 | int(c.meta[o+1]) }
+			r := geom.XYWH(be(0), be(2), be(4), be(6))
+			c.aims = c.aims[:0]
+			for k, t := range c.targets {
+				if !t.hit && r.Contains(geom.XYWH(t.x, t.y, 1, 1)) {
+					off := rawData + ((t.y-r.Y0)*r.W()+t.x-r.X0)*4 + t.b
+					c.aims = append(c.aims, aim{off: off, target: k})
+				}
+			}
+		}
+		return
+	}
+	for _, a := range c.aims {
+		if a.off != c.payOff || !c.active.Load() ||
+			(c.maxFlips != 0 && c.flips.Load() >= c.maxFlips) {
+			continue
+		}
+		t := &c.targets[a.target]
+		buf[i] ^= 1 << t.bit
+		t.hit = true
+		c.flips.Add(1)
 	}
 }

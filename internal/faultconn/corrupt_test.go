@@ -316,3 +316,76 @@ func TestCorrupterCacheWindows(t *testing.T) {
 		t.Error("CACHE_MISS was modified")
 	}
 }
+
+// TestCorrupterTargetsTilesInsideMergedRaw: two 16x16 tiles carried side
+// by side in one 32x16 RAW (rows interleave the tiles) each take exactly
+// one flip, in a colour byte of a pixel inside that tile, and a
+// compressed RAW over a third target and every other message pass
+// untouched — for any read chunking.
+func TestCorrupterTargetsTilesInsideMergedRaw(t *testing.T) {
+	pix := make([]pixel.ARGB, 32*16)
+	for i := range pix {
+		pix[i] = pixel.ARGB(0xff000000 | uint32(i*7))
+	}
+	merged, err := wire.NewRaw(geom.XYWH(32, 16, 32, 16), pix, 32, compress.CodecNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := wire.NewRaw(geom.XYWH(0, 0, 16, 16), pix, 32, compress.CodecRLE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := []wire.Message{
+		packed,
+		&wire.SFill{Rect: geom.XYWH(32, 16, 16, 16), Color: pixel.RGB(1, 2, 3)},
+		merged,
+		&wire.Ping{Seq: 1, TimeUS: 99},
+	}
+	var stream []byte
+	for _, m := range msgs {
+		if stream, err = wire.AppendMessage(stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left, right := geom.XYWH(32, 16, 16, 16), geom.XYWH(48, 16, 16, 16)
+	plan := CorruptPlan{Targets: []geom.Rect{left, right, geom.XYWH(0, 0, 16, 16)}}
+	for seed := int64(1); seed <= 40; seed++ {
+		plan.Seed = seed
+		out, c := runCorrupter(t, stream, plan, seed)
+		if c.Flips() != 2 {
+			t.Fatalf("seed %d: %d flips, want one per tile the uncompressed RAW carries", seed, c.Flips())
+		}
+		got := decodeAll(t, out)
+		for i := range msgs {
+			if i == 2 {
+				continue
+			}
+			a, _ := wire.AppendMessage(nil, got[i])
+			b, _ := wire.AppendMessage(nil, msgs[i])
+			if !bytes.Equal(a, b) {
+				t.Fatalf("seed %d: message %d (%T) was modified", seed, i, msgs[i])
+			}
+		}
+		raw := got[2].(*wire.Raw)
+		hits := map[geom.Rect]int{}
+		for i := 0; i < len(raw.Data); i++ {
+			if d := raw.Data[i] ^ merged.Data[i]; d != 0 {
+				if i%4 == 0 {
+					t.Fatalf("seed %d: alpha byte of pixel %d flipped", seed, i/4)
+				}
+				if d&(d-1) != 0 {
+					t.Fatalf("seed %d: byte %d took more than one bit", seed, i)
+				}
+				p := geom.XYWH(32+(i/4)%32, 16+(i/4)/32, 1, 1)
+				for _, tile := range []geom.Rect{left, right} {
+					if tile.Contains(p) {
+						hits[tile]++
+					}
+				}
+			}
+		}
+		if hits[left] != 1 || hits[right] != 1 {
+			t.Fatalf("seed %d: flips per tile left=%d right=%d, want 1 and 1", seed, hits[left], hits[right])
+		}
+	}
+}

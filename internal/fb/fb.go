@@ -197,25 +197,86 @@ func ConcatBitmaps(a, b *Bitmap) *Bitmap {
 // set bits take fg; clear bits take bg, unless transparent is true, in
 // which case clear bits leave the destination untouched. When fg or bg
 // carry alpha, they are composited with OVER (anti-aliased text relies on
-// the alpha channel surviving; see §3 of the paper).
+// the alpha channel surviving; see §3 of the paper). A stipple smaller
+// than r repeats across it.
+//
+// Each row is walked a stipple byte at a time, with a column counter that
+// wraps at bm.W: a byte's bits that fall inside the row are painted as
+// one span, and all-clear or all-set spans (most of a text run) are
+// stored without a bit test.
 func (f *Framebuffer) FillBitmap(r geom.Rect, bm *Bitmap, fg, bg pixel.ARGB, transparent bool) {
 	clipped := f.clip(r)
+	if clipped.Empty() || bm.W <= 0 || bm.H <= 0 {
+		return
+	}
+	stride := BitmapStride(bm.W)
+	fgOpaque, bgOpaque := fg.Opaque(), bg.Opaque()
+	solid := fgOpaque && (transparent || bgOpaque) // mixed bytes store, never blend
+	bx0 := (clipped.X0 - r.X0) % bm.W
+	by := (clipped.Y0 - r.Y0) % bm.H
 	for y := clipped.Y0; y < clipped.Y1; y++ {
-		by := y - r.Y0
-		for x := clipped.X0; x < clipped.X1; x++ {
-			bx := x - r.X0
-			idx := y*f.w + x
-			if bm.BitAt(bx%bm.W, by%bm.H) {
-				f.pix[idx] = composite(fg, f.pix[idx])
-			} else if !transparent {
-				f.pix[idx] = composite(bg, f.pix[idx])
+		row := bm.Bits[by*stride : (by+1)*stride]
+		dst := f.pix[y*f.w+clipped.X0 : y*f.w+clipped.X1]
+		for bx := bx0; len(dst) > 0; {
+			bit := bx & 7
+			n := min(8-bit, bm.W-bx, len(dst))
+			v := row[bx>>3] << uint(bit) // the span's first pixel is the MSB
+			span := dst[:n]
+			switch mask := byte(0xFF) << uint(8-n); v & mask {
+			case 0:
+				if !transparent {
+					paint(span, bg, bgOpaque)
+				}
+			case mask:
+				paint(span, fg, fgOpaque)
+			default:
+				if solid {
+					for i := range span {
+						if v&0x80 != 0 {
+							span[i] = fg
+						} else if !transparent {
+							span[i] = bg
+						}
+						v <<= 1
+					}
+					break
+				}
+				for i := range span {
+					if v&0x80 != 0 {
+						span[i] = composite(fg, fgOpaque, span[i])
+					} else if !transparent {
+						span[i] = composite(bg, bgOpaque, span[i])
+					}
+					v <<= 1
+				}
 			}
+			dst = dst[n:]
+			if bx += n; bx == bm.W {
+				bx = 0
+			}
+		}
+		if by++; by == bm.H {
+			by = 0
 		}
 	}
 }
 
-func composite(src, dst pixel.ARGB) pixel.ARGB {
-	if src.Opaque() {
+// paint sets every pixel of span to c, or blends c over it when c
+// carries alpha.
+func paint(span []pixel.ARGB, c pixel.ARGB, opaque bool) {
+	if opaque {
+		for i := range span {
+			span[i] = c
+		}
+		return
+	}
+	for i := range span {
+		span[i] = pixel.Over(c, span[i])
+	}
+}
+
+func composite(src pixel.ARGB, opaque bool, dst pixel.ARGB) pixel.ARGB {
+	if opaque {
 		return src
 	}
 	return pixel.Over(src, dst)
