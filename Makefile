@@ -52,14 +52,16 @@ bench-snapshot:
 # does the §5 pacing contract (TestPush*, both connection drivers):
 # first damage after an idle interval leaves at once, a sustained stream
 # stays within FlushBudget per FlushInterval, an idle connection runs no
-# pass and holds no timer.
+# pass and holds no timer. The video overlay kernel (a 352x240 frame
+# scaled to 1024x768) runs once, with the test that pins its allocations
+# per call to at most one and 16 KB.
 bench-smoke:
 	$(GO) test ./internal/wire/ -run 'ZeroAlloc|TestPayloadSizeMatchesAppend|TestBatch' -count=1
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime=1x -count=1
 	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTranslateFanout|BenchmarkAggregateRun' -benchtime=100x -count=1
 	$(GO) test ./internal/core/ -run 'TestCacheHotPathZeroAlloc|TestAggregateRunAllocatesLinearly' -count=1
-	$(GO) test ./internal/fb/ -run 'TestDigestHotPathZeroAlloc' -count=1
-	$(GO) test ./internal/fb/ -run '^$$' -bench BenchmarkTileDigest -benchtime=100x -count=1
+	$(GO) test ./internal/fb/ -run 'TestDigestHotPathZeroAlloc|TestOverlayYV12Allocs' -count=1
+	$(GO) test ./internal/fb/ -run '^$$' -bench 'BenchmarkTileDigest|BenchmarkOverlayYV12' -benchtime=100x -count=1
 	$(GO) test ./internal/server/ -run 'TestPush' -count=1
 
 # End-to-end latency smoke: a short live sweep (2 workloads x loopback +
@@ -105,7 +107,8 @@ bench-load-smoke:
 # decode as a v6/v5/... hello, never as a warm-cache claim — so the
 # decoders get continuous adversarial input, not just the frozen seeds.
 # FuzzFillBitmap checks the byte-wise stipple kernel every BITMAP is
-# painted with against the per-pixel oracle it replaced.
+# painted with against the per-pixel oracle it replaced, and
+# FuzzOverlayYV12 does the same for the video overlay kernel.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzVideoFrame -fuzztime 30s
@@ -113,6 +116,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzCacheStore -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzAuditReply -fuzztime 30s
 	$(GO) test ./internal/fb/ -run '^$$' -fuzz FuzzFillBitmap -fuzztime 30s
+	$(GO) test ./internal/fb/ -run '^$$' -fuzz FuzzOverlayYV12 -fuzztime 30s
 
 # Regenerate the golden wire vectors under internal/wire/testdata/
 # after a deliberate protocol change: the frozen-vector tests rewrite

@@ -44,12 +44,15 @@ func (c *RC4) XORKeyStream(dst, src []byte) {
 	if len(dst) < len(src) {
 		panic("cipher: output smaller than input")
 	}
+	s := &c.s
 	i, j := c.i, c.j
 	for k, b := range src {
 		i++
-		j += c.s[i]
-		c.s[i], c.s[j] = c.s[j], c.s[i]
-		dst[k] = b ^ c.s[c.s[i]+c.s[j]]
+		x := s[i]
+		j += x
+		y := s[j]
+		s[i], s[j] = y, x
+		dst[k] = b ^ s[x+y]
 	}
 	c.i, c.j = i, j
 }

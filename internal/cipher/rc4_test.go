@@ -2,7 +2,9 @@ package cipher
 
 import (
 	"bytes"
+	stdrc4 "crypto/rc4"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +81,41 @@ func TestRC4StreamSplitInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(one, many) {
 		t.Error("keystream depends on write chunking")
+	}
+}
+
+// TestRC4MatchesStdlib: over 1 MiB of random input, cut into calls at
+// random points (empty calls included), the keystream is byte-identical
+// to crypto/rc4's under the same key.
+func TestRC4MatchesStdlib(t *testing.T) {
+	rnd := rand.New(rand.NewSource(6229))
+	for _, keyLen := range []int{1, 5, 16, 256} {
+		key := make([]byte, keyLen)
+		rnd.Read(key)
+		ours, err := NewRC4(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := stdrc4.NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([]byte, 1<<20)
+		rnd.Read(src)
+		got, want := make([]byte, len(src)), make([]byte, len(src))
+		ref.XORKeyStream(want, src)
+		for off := 0; off < len(src); {
+			end := min(off+rnd.Intn(4096), len(src))
+			ours.XORKeyStream(got[off:end], src[off:end])
+			off = end
+		}
+		if !bytes.Equal(got, want) {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("key length %d: keystream differs from crypto/rc4 at byte %d", keyLen, i)
+		}
 	}
 }
 

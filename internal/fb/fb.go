@@ -349,16 +349,17 @@ func (f *Framebuffer) CompositeOver(r geom.Rect, img []pixel.ARGB, stride int) {
 	}
 }
 
-// OverlayYV12 decodes the video frame and scales it into r — the client
+// OverlayYV12 converts the video frame and scales it into r — the client
 // "hardware overlay" that makes full-screen playback cost the same as
-// original-size playback (§4.2).
+// original-size playback (§4.2). Only the visible part of r is computed,
+// straight into the framebuffer, so the cost follows the clipped area
+// however large r is.
 func (f *Framebuffer) OverlayYV12(r geom.Rect, frame *pixel.YV12Image) {
 	clipped := f.clip(r)
 	if clipped.Empty() {
 		return
 	}
-	rgb := pixel.DecodeYV12(frame, r.W(), r.H())
-	f.PutImage(r, rgb, r.W())
+	pixel.ScaleYV12(f.pix[clipped.Y0*f.w+clipped.X0:], f.w, frame, r.W(), r.H(), clipped.Translate(-r.X0, -r.Y0))
 }
 
 // ReadImage copies the pixels of r out of the framebuffer (screen

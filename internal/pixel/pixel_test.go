@@ -213,3 +213,17 @@ func TestMarshalUnmarshalYV12(t *testing.T) {
 		t.Error("short buffer should fail")
 	}
 }
+
+// TestYUVTablesMatchYUVToRGB: the overlay kernel's table-driven
+// conversion equals the YUVToRGB definition on all 2^24 sample triples.
+func TestYUVTablesMatchYUVToRGB(t *testing.T) {
+	for y := range 256 {
+		for u := range 256 {
+			for v := range 256 {
+				if got, want := yuvToRGB(uint8(y), uint8(u), uint8(v)), YUVToRGB(uint8(y), uint8(u), uint8(v)); got != want {
+					t.Fatalf("yuvToRGB(%d, %d, %d) = %08x, want %08x", y, u, v, uint32(got), uint32(want))
+				}
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package pixel
 
+import "thinc/internal/geom"
+
 // YV12 conversion. YV12 is planar YUV 4:2:0 with the V plane before the U
 // plane: Y at full resolution, then V and U subsampled 2x2. It is the
 // preferred output format of MPEG decoders and the format THINC exports to
@@ -117,21 +119,108 @@ func EncodeYV12(pix []ARGB, stride, w, h int) *YV12Image {
 // DecodeYV12 converts the frame to ARGB pixels, scaling to dw x dh with
 // nearest-neighbor sampling — modeling the client video hardware's
 // combined color-space conversion and scaling (the "hardware overlay").
+// It allocates the output and runs ScaleYV12 over all of it.
 func DecodeYV12(img *YV12Image, dw, dh int) []ARGB {
 	out := make([]ARGB, dw*dh)
-	if img.W == 0 || img.H == 0 || dw == 0 || dh == 0 {
-		return out
+	ScaleYV12(out, dw, img, dw, dh, geom.XYWH(0, 0, dw, dh))
+	return out
+}
+
+// ScaleYV12 is the overlay kernel: it converts img to ARGB and scales it
+// to dw x dh by nearest-neighbor sampling, writing only the pixels of
+// the scaled image that lie inside win. Pixel (x, y) of the scaled image
+// lands at dst[(y-win.Y0)*stride + x-win.X0]. Source pixel (x*W/dw,
+// y*H/dh) supplies destination (x, y); a frame with no pixels paints
+// win transparent black.
+//
+// The work follows the clipped window, never dw x dh: each destination
+// row whose source row equals the previous one is a copy of that row,
+// and each new source row is converted once, over just the columns win
+// samples, then gathered through a column map computed once per call.
+func ScaleYV12(dst []ARGB, stride int, img *YV12Image, dw, dh int, win geom.Rect) {
+	win = win.Intersect(geom.XYWH(0, 0, dw, dh))
+	if win.Empty() {
+		return
+	}
+	w, h := win.W(), win.H()
+	if img.W == 0 || img.H == 0 {
+		for y := 0; y < h; y++ {
+			clear(dst[y*stride : y*stride+w])
+		}
+		return
+	}
+	// Source columns lo..hi are the ones win samples.
+	lo := win.X0 * img.W / dw
+	hi := (win.X1 - 1) * img.W / dw
+	n := hi - lo + 1
+	// The column map and row buffer fit on the stack for a 1024-wide
+	// window over a frame up to 1024 wide; only wider ones allocate.
+	var stack [2048]uint32
+	buf := stack[:]
+	if w+n > len(buf) {
+		buf = make([]uint32, w+n)
+	}
+	cols, row := buf[:w], buf[w:w+n]
+	for i := range cols {
+		cols[i] = uint32((win.X0+i)*img.W/dw - lo)
 	}
 	cw := (img.W + 1) / 2
-	for y := 0; y < dh; y++ {
-		sy := y * img.H / dh
-		for x := 0; x < dw; x++ {
-			sx := x * img.W / dw
-			yy := img.Y[sy*img.W+sx]
-			u := img.U[(sy/2)*cw+sx/2]
-			v := img.V[(sy/2)*cw+sx/2]
-			out[y*dw+x] = YUVToRGB(yy, u, v)
+	prev := -1
+	for y := 0; y < h; y++ {
+		out := dst[y*stride : y*stride+w]
+		sy := (win.Y0 + y) * img.H / dh
+		if sy == prev {
+			copy(out, dst[(y-1)*stride:(y-1)*stride+w])
+			continue
+		}
+		prev = sy
+		off := (sy / 2) * cw
+		convertRow(row, img.Y[sy*img.W+lo:sy*img.W+hi+1], img.U[off:off+cw], img.V[off:off+cw], lo)
+		for i, c := range cols {
+			out[i] = ARGB(row[c])
 		}
 	}
-	return out
+}
+
+// convertRow converts the luma samples ys, which start at source column
+// lo, into opaque ARGB; us and vs are the row's full chroma rows.
+func convertRow(row []uint32, ys, us, vs []byte, lo int) {
+	row = row[:len(ys)]
+	for i, y := range ys {
+		cx := (lo + i) >> 1
+		row[i] = uint32(yuvToRGB(y, us[cx], vs[cx]))
+	}
+}
+
+// BT.601 as table lookups: yuvToRGB equals YUVToRGB for every (y, u, v).
+// Each product of YUVToRGB is a 256-entry table; lumaTab also carries the
+// rounding term and clampBias<<8, so every channel sum is non-negative
+// and, shifted down by 8, indexes clampTab directly.
+const clampBias = 384
+
+var (
+	lumaTab, rvTab, guTab, gvTab, buTab [256]int32
+	clampTab                            [1024]uint8 // clamp8(i - clampBias)
+)
+
+func init() {
+	for i := range 256 {
+		c, d := int32(i)-16, int32(i)-128
+		lumaTab[i] = 298*c + 128 + clampBias<<8
+		rvTab[i] = 409 * d
+		guTab[i] = -100 * d
+		gvTab[i] = -208 * d
+		buTab[i] = 516 * d
+	}
+	for i := range clampTab {
+		clampTab[i] = clamp8(int32(i) - clampBias)
+	}
+}
+
+func yuvToRGB(y, u, v uint8) ARGB {
+	c := lumaTab[y]
+	r := clampTab[(c+rvTab[v])>>8&1023]
+	g := clampTab[(c+guTab[u]+gvTab[v])>>8&1023]
+	b := clampTab[(c+buTab[u])>>8&1023]
+	return 0xff000000 | ARGB(r)<<16 | ARGB(g)<<8 | ARGB(b)
 }
