@@ -64,11 +64,10 @@ type ReattachSchedule struct {
 	// once against a Budget-wide resync admission gate.
 	Clients int
 	Budget  int
-	// Sched runs the schedule against the sharded delivery core
-	// (Options.Sched): socket connections are driven by runScheduled on
-	// a worker pool and the shared timer wheel instead of the classic
-	// per-connection goroutine pair. Wire behavior must be identical,
-	// so every oracle and counter assertion is unchanged.
+	// Sched runs the schedule on a host built by a one-host Fleet:
+	// every connection's pump shares the fleet's worker pool instead of
+	// running on a private one. Wire behavior must be identical, so
+	// every oracle and counter assertion is unchanged.
 	Sched bool
 	// MaxWall bounds the whole run; zero means 30s.
 	MaxWall time.Duration
@@ -109,9 +108,9 @@ func ReattachSuite() []ReattachSchedule {
 		{Name: "reattach-epoch-desync", Seed: 3202, Mode: ReattachRestart},
 		{Name: "reattach-kill-mid-store", Seed: 3303, Mode: ReattachMidStore, Cycles: 3},
 		{Name: "reattach-storm", Seed: 3404, Mode: ReattachStorm, Clients: 12, Budget: 2},
-		// The same storm against the sharded delivery core: the admission
-		// gate, the ticket protocol, and the convergence oracle must hold
-		// when every connection is a shard task instead of a goroutine pair.
+		// The same storm on a Fleet host: the admission gate, the ticket
+		// protocol, and the convergence oracle must hold when every
+		// connection shares one worker pool instead of owning a worker.
 		{Name: "reattach-storm-sharded", Seed: 3404, Mode: ReattachStorm, Clients: 12, Budget: 2, Sched: true},
 	}
 }
@@ -248,15 +247,18 @@ func RunReattach(s ReattachSchedule) (ReattachResult, error) {
 	acc := auth.NewAccounts()
 	acc.Add("owner", "pw")
 	opts := reattachOptions(s)
+	gate := auth.NewAuthenticator("owner", acc)
+	var host *server.Host
 	if s.Sched {
-		sched := shard.NewScheduler(shard.Options{})
-		defer sched.Close()
-		opts.Sched = sched
+		fleet := server.NewFleet(opts, shard.Options{})
+		defer fleet.Close()
+		host = fleet.NewHost(screenW, screenH, gate)
+	} else {
+		host = server.NewHost(screenW, screenH, gate, opts)
 	}
-	host := server.NewHost(screenW, screenH, auth.NewAuthenticator("owner", acc), opts)
-	// Closing the host (before the scheduler, per defer order) releases
-	// every server-side goroutine and timer; the leak checker in the
-	// chaos tests holds each run to that.
+	// Closing the host (before the fleet's pool, per defer order)
+	// releases every server-side goroutine and timer; the leak checker
+	// in the chaos tests holds each run to that.
 	defer host.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -237,7 +237,7 @@ func TestOffscreenQueueBudgetFallsBackToPixels(t *testing.T) {
 // the queue wedges forever. The chaos harness found exactly this: a
 // 1764-byte audio write against a modem-class 512-byte pacing budget
 // froze the session. This exercises the drain discipline the server's
-// flush loop uses: Flush, then FlushOne when it stalls non-empty.
+// delivery pump uses: Flush, then FlushOne when it stalls non-empty.
 func TestFlushOvershootsForOversizedCommand(t *testing.T) {
 	srv, _ := newTestServer(t, Options{})
 	c := srv.AttachClient(0, 0)

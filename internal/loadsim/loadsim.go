@@ -396,9 +396,6 @@ func Run(o Options) (*Report, error) {
 		ShardTasks:       reg.Value("thinc_shard_tasks"),
 		ShardWakes:       reg.Value("thinc_shard_task_wakes_total"),
 		ShardRuns:        reg.Value("thinc_shard_task_runs_total"),
-		WheelScheduled:   reg.Value("thinc_shard_wheel_scheduled_total"),
-		WheelFired:       reg.Value("thinc_shard_wheel_fired_total"),
-		WheelPending:     reg.Value("thinc_shard_wheel_pending"),
 		HeartbeatsSent:   reg.Value("thinc_heartbeats_sent_total"),
 		MarksSent:        reg.Value("thinc_e2e_marks_total"),
 		MarkAcks:         reg.Value("thinc_e2e_acks_total"),

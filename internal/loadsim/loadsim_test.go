@@ -99,7 +99,7 @@ func TestReportCheck(t *testing.T) {
 		E2E:            Pct{Count: 50, P99US: 500},
 		ShardTasks:     10,
 		HeartbeatsSent: 10, ClientPongs: 10, MarksSent: 5, MarkAcks: 5,
-		WheelFired: 20, E2EEnvelopeUS: 1000, TaskWaitBudgetUS: 1000,
+		E2EEnvelopeUS: 1000, TaskWaitBudgetUS: 1000,
 	}
 	if bad := good.Check(); len(bad) != 0 {
 		t.Fatalf("healthy report flagged: %v", bad)
@@ -116,7 +116,6 @@ func TestReportCheck(t *testing.T) {
 		{"e2e over envelope", func(r *Report) { r.E2E.P99US = 5000 }},
 		{"no e2e samples", func(r *Report) { r.E2E.Count = 0 }},
 		{"task wait blowout", func(r *Report) { r.TaskWait.P99US = 5000 }},
-		{"wheel dead", func(r *Report) { r.WheelFired = 0 }},
 	}
 	for _, tc := range cases {
 		r := good

@@ -58,7 +58,7 @@ func RungName(r int) string {
 const ewmaAlpha = 1.0 / 3
 
 // Estimator tracks one client's drain bandwidth and round-trip time.
-// It is passive arithmetic — the owner (the connection's flush loop)
+// It is passive arithmetic — the owner (the connection's delivery pump)
 // provides synchronization.
 type Estimator struct {
 	bps      float64 // EWMA drain rate, bytes/sec (0 = no sample yet)
@@ -197,7 +197,7 @@ const (
 )
 
 // Controller walks the ladder from estimator state. Like the estimator
-// it is owned by one connection's flush loop and does no locking.
+// it is owned by one connection's delivery pump and does no locking.
 type Controller struct {
 	cfg Config
 	est *Estimator

@@ -11,7 +11,7 @@ import (
 //
 // The server keeps per-tile digests of the session framebuffer,
 // maintained incrementally by the translation layer as applications
-// draw. On each audit tick the flush loop — the sole writer to the
+// draw. On each audit tick the pump — the sole writer to the
 // client and the sole owner of the audit state machine — probes one
 // settled client with AUDIT_PROBE, asking it to digest a sampled
 // window of its own framebuffer tiles. The AUDIT_REPLY digests are
@@ -32,7 +32,7 @@ import (
 //
 // Probes are only sent when the client is eligible — settled at the
 // lossless rung with an unscaled viewport — and when its command queue
-// is fully drained. Because the flush loop is the only writer, a probe
+// is fully drained. Because the pump is the only writer, a probe
 // sent right after observing an empty queue precedes every
 // later-translated command on the wire, so the client framebuffer at
 // probe receipt matches the server screen snapshot taken with the
@@ -50,7 +50,7 @@ const (
 )
 
 // auditConn is one connection's in-flight probe state. Owned by the
-// flush loop; the durable cursor (sequence, sweep progress, legacy
+// pump; the durable cursor (sequence, sweep progress, legacy
 // verdict) lives on the core client so it rides reattach.
 type auditConn struct {
 	inflight bool
@@ -111,7 +111,7 @@ func (c *serverConn) auditTick(queue func(wire.Message) error, flush func() erro
 	// Build the next probe under the host lock: eligibility, drain
 	// check, and the server-side digest snapshot are all taken in one
 	// critical section, and the probe is written before the lock-free
-	// flush loop can deliver any later-translated command.
+	// pump can deliver any later-translated command.
 	var probe *wire.AuditProbe
 	func() {
 		c.host.mu.Lock()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,8 @@ import (
 	"time"
 
 	"thinc/internal/client"
+	"thinc/internal/compress"
+	"thinc/internal/core"
 	"thinc/internal/faultconn"
 	"thinc/internal/geom"
 	"thinc/internal/pixel"
@@ -288,4 +291,71 @@ func TestBadRoleRejected(t *testing.T) {
 	if st := host.Resilience(); st.BadHandshakes != 1 {
 		t.Errorf("BadHandshakes = %d, want 1", st.BadHandshakes)
 	}
+}
+
+// TestStalledViewerDoesNotStallOwner: per-viewer independence. A
+// viewer that completes the handshake and then never reads fills its
+// socket and blocks its own delivery for up to WriteTimeout; the
+// owner's updates must keep arriving as if the viewer were not there.
+// Each 1024×256 noise image is 1 MB of RAW payload, so the viewer's
+// socket buffers fill within the first few updates. An update has
+// reached the owner once its RAW byte count has grown by the payload
+// (polling that is cheap; a full-screen checksum per poll is not).
+func TestStalledViewerDoesNotStallOwner(t *testing.T) {
+	const (
+		w, h    = 1024, 768
+		band    = h / 3
+		updates = 40
+		limit   = 250 * time.Millisecond
+	)
+	host, addr := startHost(t, w, h, Options{
+		Core:            core.Options{RawCodec: compress.CodecNone},
+		WriteTimeout:    2 * time.Second,
+		DisableOverload: true, // hold the owner at lossless: every update is w×band×4 RAW bytes
+	})
+	host.gate.SetSessionPassword("watch")
+
+	owner, err := client.Dial(addr, "owner", "pw", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	go owner.Run()
+	var win *xserver.Window
+	host.Do(func(d *xserver.Display) { win = d.CreateWindow(geom.XYWH(0, 0, w, h)) })
+	waitConverged(t, host, owner, 5*time.Second)
+
+	stalled, err := client.DialRole(addr, "stalled", "watch", 0, 0, wire.RoleViewer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close() // never Run: nothing drains its socket
+
+	rng := rand.New(rand.NewSource(7))
+	pix := make([]pixel.ARGB, w*band)
+	var worst time.Duration
+	for i := 0; i < updates; i++ {
+		for j := range pix {
+			pix[j] = pixel.ARGB(rng.Uint32() | 0xff000000)
+		}
+		want := owner.Stats().Bytes[wire.TRaw] + w*band*4
+		host.Do(func(d *xserver.Display) {
+			d.PutImage(win, geom.XYWH(0, (i%3)*band, w, band), pix, w)
+		})
+		start := time.Now() // the update is queued: time its delivery
+		for owner.Stats().Bytes[wire.TRaw] < want {
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("update %d never reached the owner", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		took := time.Since(start)
+		if took > limit {
+			t.Fatalf("update %d reached the owner after %v with a stalled viewer attached, limit %v",
+				i, took, limit)
+		}
+		worst = max(worst, took)
+	}
+	waitConverged(t, host, owner, 5*time.Second)
+	t.Logf("worst owner update latency %v over %d updates", worst, updates)
 }

@@ -14,7 +14,7 @@ import (
 //
 // Server-side telemetry ends at the socket write; the user-visible
 // latency ends when the client has decoded and painted the update. To
-// close that gap without clock synchronization, the flush loop — the
+// close that gap without clock synchronization, the pump — the
 // sole writer and the sole owner of this state machine — appends a
 // TIME_MARK after a flush that delivered commands, naming the newest
 // flush epoch the batch contained. The client answers with a MARK_ACK
@@ -59,7 +59,7 @@ type markRec struct {
 	writeNS  int64  // when the batch write completed
 }
 
-// e2eConn is one connection's mark state. Owned by the flush loop; the
+// e2eConn is one connection's mark state. Owned by the pump; the
 // durable cursor (legacy verdict, miss count) lives on the core client
 // so it rides reattach.
 type e2eConn struct {

@@ -10,12 +10,12 @@ import (
 )
 
 // Fleet hosts many display sessions on one shared sharded substrate:
-// a single shard.Scheduler (worker pool, timer wheel, registry caps),
-// a single telemetry registry and core instrument bundle, and one
-// hostMetrics shared by every Host it creates. This is the multi-host
-// counterpart of NewHost — the shape the 10k-session load harness
-// runs, where per-host registries and per-conn metric series would
-// dominate memory and scrape cost.
+// a single shard.Scheduler (worker pool, registry caps), a single
+// telemetry registry and core instrument bundle, and one hostMetrics
+// shared by every Host it creates. This is the multi-host counterpart
+// of NewHost — the shape the 10k-session load harness runs, where
+// per-host registries, per-conn metric series and per-conn workers
+// would dominate memory and scrape cost.
 //
 // Per-conn telemetry series and per-host gauges are intentionally
 // disabled on the shared bundle; the fleet publishes aggregate
@@ -32,60 +32,34 @@ type Fleet struct {
 }
 
 // NewFleet builds the shared substrate. opts configures every Host the
-// fleet creates (its Sched and Core.Metrics fields are overwritten
-// with the shared ones); so sizes the scheduler.
+// fleet creates (its Core.Metrics field is overwritten with the shared
+// one); so sizes the scheduler.
 func NewFleet(opts Options, so shard.Options) *Fleet {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(4096)
 
-	// Task-level scheduling histograms, fed straight from the pool
-	// hooks: queue wait is the fairness headline (a starved session
-	// shows up here long before a user notices), run time is the cost
-	// of one pump pass.
-	taskWait := reg.Histogram("thinc_shard_task_wait_ns",
-		"queue wait from task wake to callback start", telemetry.FineLatencyBucketsNS)
-	taskRun := reg.Histogram("thinc_shard_task_run_ns",
-		"execution time of one task callback", telemetry.FineLatencyBucketsNS)
-	so.OnTaskWait = func(ns int64) { taskWait.Observe(ns) }
-	so.OnTaskRun = func(ns int64) { taskRun.Observe(ns) }
-	sched := shard.NewScheduler(so)
-
 	met := newHostMetrics(reg, tr) // perConn stays false: shared bundle
+	var pool *shard.Pool           // set below; the counters read it only at scrape time
+	met.registerPoolMetrics(func() shard.PoolStats { return pool.Stats() })
+	so.OnTaskWait, so.OnTaskRun = met.taskWait.Observe, met.taskRun.Observe
+	sched := shard.NewScheduler(so)
+	pool = sched.Pool()
 	cm := core.NewMetrics(reg)
 	cm.Trace = tr
-	opts.Sched = sched
 	opts.Core.Metrics = cm
 
 	f := &Fleet{sched: sched, reg: reg, tr: tr, met: met, opts: opts}
 
 	// Scheduler occupancy: the load harness's self-checks read these —
 	// goroutine count must stay O(workers), not O(sessions).
-	pool := sched.Pool()
 	reg.GaugeFunc("thinc_shard_workers", "run-queue worker shards",
 		func() int64 { return int64(pool.NumShards()) })
-	reg.CounterFunc("thinc_shard_task_wakes_total",
-		"task wakes accepted (coalesced wakes count once)",
-		func() int64 { return pool.Stats().Wakes })
-	reg.CounterFunc("thinc_shard_task_runs_total",
-		"task callback invocations across all shards",
-		func() int64 { return pool.Stats().Runs })
 	reg.GaugeFunc("thinc_shard_tasks", "live tasks pinned to the pool",
 		func() int64 { return pool.Stats().Tasks })
 	reg.GaugeFunc("thinc_shard_queue_depth", "tasks queued to run right now",
 		func() int64 { return pool.Stats().Depth })
 	reg.GaugeFunc("thinc_shard_queue_depth_peak", "high-watermark run-queue depth",
 		func() int64 { return pool.Stats().MaxDepth })
-	wheel := sched.Wheel()
-	reg.CounterFunc("thinc_shard_wheel_scheduled_total",
-		"timers inserted into the wheel (periodic re-arms count)",
-		func() int64 { return wheel.Stats().Scheduled })
-	reg.CounterFunc("thinc_shard_wheel_fired_total", "wheel timers fired",
-		func() int64 { return wheel.Stats().Fired })
-	reg.GaugeFunc("thinc_shard_wheel_pending", "wheel timers currently armed",
-		func() int64 { return wheel.Stats().Pending })
-	reg.GaugeFunc("thinc_shard_wheel_lag_ns",
-		"lag of the wheel's most recent firing pass",
-		func() int64 { return wheel.Stats().LagNS })
 
 	// Fleet-wide aggregates replacing the per-host gauges.
 	reg.GaugeFunc("thinc_fleet_hosts", "hosts created by this fleet",
@@ -116,7 +90,7 @@ func NewFleet(opts Options, so shard.Options) *Fleet {
 
 // NewHost creates a Host of the given geometry on the shared substrate.
 func (f *Fleet) NewHost(w, h int, gate *auth.Authenticator) *Host {
-	host := newHostWith(w, h, gate, f.opts, f.met)
+	host := newHostWith(w, h, gate, f.opts, f.met, f.sched.Pool())
 	f.mu.Lock()
 	f.hosts = append(f.hosts, host)
 	f.mu.Unlock()

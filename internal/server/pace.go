@@ -7,8 +7,8 @@ import (
 
 // Delivery pacing (§5). THINC pushes: an update leaves when there is
 // one, and the command buffer coalesces only while the link is busy.
-// The one rule, shared by the goroutine flush loop, the sharded pump
-// and the Recorder: a delivery pass is due at
+// The one rule, shared by the connection pump (sched.go) and the
+// Recorder: a delivery pass is due at
 //
 //	max(now, previous pass + FlushInterval)
 //
@@ -124,12 +124,12 @@ func (p *pusher) deliver(pass func(paced bool) (wrote, more bool, err error), pe
 	}
 }
 
-// newPacedTimer returns the goroutine flusher's reusable one-shot for a
-// pass deliver held back: Reset(wait) books wake for the due time. It is
-// an AfterFunc timer, not yet booked, so Reset needs no channel drained
-// whatever the Go version; the owner stops it on exit.
-func newPacedTimer(wake func()) *time.Timer {
-	t := time.AfterFunc(time.Hour, wake)
+// unbookedTimer returns a reusable one-shot that calls f: Reset(d)
+// books it d from now. It is an AfterFunc timer, not yet booked, so
+// Reset needs no channel drained whatever the Go version; the owner
+// stops it at teardown.
+func unbookedTimer(f func()) *time.Timer {
+	t := time.AfterFunc(time.Hour, f)
 	t.Stop()
 	return t
 }

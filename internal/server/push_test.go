@@ -10,35 +10,34 @@ import (
 	"thinc/internal/client"
 	"thinc/internal/geom"
 	"thinc/internal/pixel"
-	"thinc/internal/shard"
 	"thinc/internal/telemetry"
 	"thinc/internal/testutil"
 	"thinc/internal/wire"
 	"thinc/internal/xserver"
 )
 
-// The pacing contract (pace.go), checked on both connection drivers:
-// every TestPush* test runs once on the goroutine flush loop and once
-// on the sharded pump.
+// The pacing contract (pace.go), checked on both kinds of host: every
+// TestPush* test runs once on a plain host, whose connection runs its
+// pump on a private worker ("classic"), and once on a Fleet host,
+// whose connections share the fleet's pool ("sharded").
 
-// pushDrivers runs f against the classic driver (Sched nil) and the
-// sharded one.
-func pushDrivers(t *testing.T, f func(t *testing.T, opts Options)) {
-	t.Run("classic", func(t *testing.T) { f(t, Options{}) })
-	t.Run("sharded", func(t *testing.T) {
-		sched := shard.NewScheduler(shard.Options{})
-		t.Cleanup(sched.Close)
-		f(t, Options{Sched: sched})
-	})
+// hostStarter starts a host serving on a loopback listener (startHost
+// or startFleetHost).
+type hostStarter func(t *testing.T, w, h int, opts Options) (*Host, string)
+
+// pushDrivers runs f against a plain host and a Fleet host.
+func pushDrivers(t *testing.T, f func(t *testing.T, serve hostStarter, opts Options)) {
+	t.Run("classic", func(t *testing.T) { f(t, startHost, Options{}) })
+	t.Run("sharded", func(t *testing.T) { f(t, startFleetHost, Options{}) })
 }
 
 // pushSession starts a quiet host (no audit, no marks, no controller,
 // heartbeats a second apart) with one full-screen window and one
 // converged client.
-func pushSession(t *testing.T, opts Options, dial func(addr string) (net.Conn, error)) (*Host, *client.Conn, *xserver.Window) {
+func pushSession(t *testing.T, serve hostStarter, opts Options, dial func(addr string) (net.Conn, error)) (*Host, *client.Conn, *xserver.Window) {
 	t.Helper()
 	opts.DisableAudit, opts.DisableE2E, opts.DisableOverload = true, true, true
-	host, addr := startHost(t, 64, 64, opts)
+	host, addr := serve(t, 64, 64, opts)
 	var win *xserver.Window
 	host.Do(func(d *xserver.Display) { win = d.CreateWindow(geom.XYWH(0, 0, 64, 64)) })
 	fill(host, win, pixel.RGB(90, 90, 90)) // not the blank a fresh client starts from
@@ -96,13 +95,25 @@ func idle(host *Host) bool {
 	return false
 }
 
+// pacedBooked reports whether the host's one connection has a held-back
+// pass booked on its paced timer. Stop on an unbooked timer changes
+// nothing, and a booked one fails the caller anyway.
+func pacedBooked(host *Host) bool {
+	host.mu.Lock()
+	defer host.mu.Unlock()
+	for sc := range host.conns {
+		return sc.sched.paced.Stop()
+	}
+	return false
+}
+
 // TestPushLeadingEdge: damage on a connection that has been quiet for an
 // interval leaves at once. Under the old free-running tick a 200ms
-// interval cost 100ms on average (200 under Sched).
+// interval cost 100ms on average.
 func TestPushLeadingEdge(t *testing.T) {
-	pushDrivers(t, func(t *testing.T, opts Options) {
+	pushDrivers(t, func(t *testing.T, serve hostStarter, opts Options) {
 		opts.FlushInterval = 200 * time.Millisecond
-		host, conn, win := pushSession(t, opts, nil)
+		host, conn, win := pushSession(t, serve, opts, nil)
 		waitFor(t, "idle", func() bool { return idle(host) })
 		time.Sleep(220 * time.Millisecond)
 		fill(host, win, pixel.RGB(200, 40, 40))
@@ -150,10 +161,10 @@ func TestPushRateBound(t *testing.T) {
 		passSlack = 32
 		k         = 4
 	)
-	pushDrivers(t, func(t *testing.T, opts Options) {
+	pushDrivers(t, func(t *testing.T, serve hostStarter, opts Options) {
 		opts.FlushInterval, opts.FlushBudget = interval, budget
 		var tap *stampedConn
-		host, conn, win := pushSession(t, opts, func(addr string) (net.Conn, error) {
+		host, conn, win := pushSession(t, serve, opts, func(addr string) (net.Conn, error) {
 			nc, err := net.Dial("tcp", addr)
 			tap = &stampedConn{Conn: nc}
 			return tap, err
@@ -209,9 +220,9 @@ func TestPushRateBound(t *testing.T) {
 // DegradeNotice — is still delivered, and promptly.
 func TestPushIdleSilent(t *testing.T) {
 	const interval = 20 * time.Millisecond
-	pushDrivers(t, func(t *testing.T, opts Options) {
+	pushDrivers(t, func(t *testing.T, serve hostStarter, opts Options) {
 		opts.FlushInterval = interval
-		host, conn, _ := pushSession(t, opts, nil)
+		host, conn, _ := pushSession(t, serve, opts, nil)
 		waitFor(t, "idle", func() bool { return idle(host) })
 
 		before, _ := passes(host)
@@ -222,11 +233,8 @@ func TestPushIdleSilent(t *testing.T) {
 		if !idle(host) {
 			t.Fatal("idle connection holds a pending pass")
 		}
-		if opts.Sched != nil {
-			// Only the connection's periodic heartbeat entry remains.
-			if p := opts.Sched.Wheel().Stats().Pending; p != 1 {
-				t.Fatalf("idle connection holds %d wheel timers, want 1 (heartbeat)", p)
-			}
+		if pacedBooked(host) {
+			t.Fatal("idle connection holds a booked paced timer")
 		}
 
 		// Rung 1 and back: unlike leaving the downscaled rungs, neither
@@ -254,9 +262,9 @@ func TestPushIdleSilent(t *testing.T) {
 // update 1.2 intervals later is again pushed at once.
 func TestPushStaleWake(t *testing.T) {
 	const interval = 100 * time.Millisecond
-	pushDrivers(t, func(t *testing.T, opts Options) {
+	pushDrivers(t, func(t *testing.T, serve hostStarter, opts Options) {
 		opts.FlushInterval = interval
-		host, conn, win := pushSession(t, opts, nil)
+		host, conn, win := pushSession(t, serve, opts, nil)
 		waitFor(t, "idle", func() bool { return idle(host) })
 		time.Sleep(interval + interval/10)
 
@@ -294,6 +302,7 @@ func TestPushRecorder(t *testing.T) {
 	const interval = 200 * time.Millisecond
 	testutil.CheckGoroutines(t)
 	host := NewHost(64, 64, testGate(), Options{FlushInterval: interval})
+	defer host.Close()
 	var win *xserver.Window
 	host.Do(func(d *xserver.Display) { win = d.CreateWindow(geom.XYWH(0, 0, 64, 64)) })
 	fill(host, win, pixel.RGB(90, 90, 90))
@@ -338,6 +347,61 @@ func TestPushRecorder(t *testing.T) {
 	}
 	if viewer.FB().Checksum() != host.ScreenChecksum() {
 		t.Fatal("replayed screen differs from the live one")
+	}
+}
+
+// TestPushPacedNeverEarly: a pass the pacing rule holds back is booked
+// on the paced timer, which never wakes the flusher before the due
+// time deliver asked for — so no woken pass finds itself still early
+// and re-books. Twenty passes drain a backlog one interval apart.
+func TestPushPacedNeverEarly(t *testing.T) {
+	const (
+		interval = 3 * time.Millisecond
+		passes   = 20
+	)
+	woke := make(chan struct{}, 1)
+	wake := func() {
+		select {
+		case woke <- struct{}{}:
+		default:
+		}
+	}
+	p := newPusher(interval, wake)
+	paced := unbookedTimer(wake)
+	defer paced.Stop()
+	left := passes
+	pass := func(bool) (wrote, more bool, err error) {
+		left--
+		return true, left > 0, nil
+	}
+	pending := func() bool { return left > 0 }
+
+	p.request()
+	<-woke
+	bookings := 0
+	for left > 0 {
+		wait, err := p.deliver(pass, pending)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wait == 0 {
+			break
+		}
+		bookings++
+		due := time.Now().Add(wait)
+		paced.Reset(wait)
+		select {
+		case <-woke:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the paced timer never fired")
+		}
+		if early := time.Until(due); early > 0 {
+			t.Fatalf("booking %d woke the flusher %v before its due time", bookings, early)
+		}
+	}
+	if left != 0 || bookings != passes-1 {
+		t.Fatalf("%d passes left after %d bookings; want 0 after %d (one per held pass)",
+			left, bookings, passes-1)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"thinc/internal/core"
+	"thinc/internal/shard"
 	"thinc/internal/wire"
 )
 
@@ -25,43 +27,33 @@ type Recorder struct {
 	w     io.Writer
 	start time.Time
 
-	mu     sync.Mutex
-	err    error
-	closed bool
-	stop   chan struct{}
-	done   chan struct{}
+	// The recorder is driven like any connection (see pace.go): the
+	// damage hook wakes its task, and the pacing rule books the paced
+	// timer only while a stream is in progress — an idle screen costs
+	// no wakeups. pool is its private one-worker pool on a plain host
+	// (nil on a Fleet host, whose shared pool runs the task).
+	cl    *core.Client
+	pool  *shard.Pool
+	task  *shard.Task
+	paced *time.Timer
+
+	// err and detached are written by the task and read by Close after
+	// the task has stopped.
+	err      error
+	detached bool
+	close    sync.Once
 }
 
 // Record attaches a recorder to the session. Close it to detach.
 func (h *Host) Record(w io.Writer) *Recorder {
-	r := &Recorder{
-		host:  h,
-		w:     w,
-		start: time.Now(),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	// The recorder is driven like any connection (see pace.go): the
-	// damage hook wakes it, and the pacing rule holds a pass back only
-	// while a stream is in progress — an idle screen costs no wakeups.
-	wake := make(chan struct{}, 1) // the pusher keeps one request pending at most
-	wakeUp := func() {
-		select { // under h.mu: never block
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-	push := newPusher(h.opts.FlushInterval, wakeUp)
-	h.mu.Lock()
-	cl := h.core.AttachClient(0, 0) // full session geometry
-	cl.Buf.SetOnQueued(push.request)
-	h.mu.Unlock()
-	push.request() // the attach queued the initial screen before the hook existed
-
+	r := &Recorder{host: h, w: w, start: time.Now()}
+	var pool *shard.Pool
+	pool, r.pool = h.taskPool()
+	var push *pusher
 	pass := func(bool) (wrote, more bool, err error) {
 		h.mu.Lock()
-		msgs := cl.Flush(h.opts.FlushBudget)
-		more = cl.Buf.Len() > 0
+		msgs := r.cl.Flush(h.opts.FlushBudget)
+		more = r.cl.Buf.Len() > 0
 		h.mu.Unlock()
 		for _, m := range msgs {
 			if err := r.write(m); err != nil {
@@ -73,38 +65,37 @@ func (h *Host) Record(w io.Writer) *Recorder {
 	pending := func() bool {
 		h.mu.Lock()
 		defer h.mu.Unlock()
-		return cl.Buf.Len() > 0
+		return r.cl.Buf.Len() > 0
 	}
-	go func() {
-		defer close(r.done)
-		paced := newPacedTimer(wakeUp)
-		defer paced.Stop()
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-wake:
-			}
-			wait, err := push.deliver(pass, pending)
-			if err != nil {
-				r.mu.Lock()
-				r.err = err
-				r.mu.Unlock()
-				return
-			}
-			if wait > 0 {
-				paced.Reset(wait)
-			}
+	r.task = pool.Task(uint64(r.start.UnixNano()), func() {
+		wait, err := push.deliver(pass, pending)
+		if err != nil {
+			// A failed write ends the recording: stop taking wakes and
+			// detach now, so the session stops queueing for it.
+			r.err = err
+			r.task.Close()
+			r.detach()
+			return
 		}
-	}()
-	// Detach on close.
-	go func() {
-		<-r.done
-		h.mu.Lock()
-		h.core.DetachClient(cl)
-		h.mu.Unlock()
-	}()
+		if wait > 0 {
+			r.paced.Reset(wait)
+		}
+	})
+	push = newPusher(h.opts.FlushInterval, func() { r.task.Wake() })
+	r.paced = unbookedTimer(push.wake)
+	h.mu.Lock()
+	r.cl = h.core.AttachClient(0, 0) // full session geometry
+	r.cl.Buf.SetOnQueued(push.request)
+	h.mu.Unlock()
+	push.request() // the attach queued the initial screen before the hook existed
 	return r
+}
+
+func (r *Recorder) detach() {
+	r.host.mu.Lock()
+	r.host.core.DetachClient(r.cl)
+	r.host.mu.Unlock()
+	r.detached = true
 }
 
 func (r *Recorder) write(m wire.Message) error {
@@ -118,15 +109,16 @@ func (r *Recorder) write(m wire.Message) error {
 
 // Close stops the recording and returns any write error encountered.
 func (r *Recorder) Close() error {
-	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		close(r.stop)
-	}
-	r.mu.Unlock()
-	<-r.done
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.close.Do(func() {
+		r.task.CloseWait()
+		r.paced.Stop()
+		if r.pool != nil {
+			r.host.stopPool(r.pool)
+		}
+		if !r.detached {
+			r.detach()
+		}
+	})
 	return r.err
 }
 

@@ -12,22 +12,26 @@ import (
 	"thinc/internal/wire"
 )
 
-// This file is the sharded, event-driven connection driver selected by
-// Options.Sched. The classic driver (run) spends two goroutines, two
-// tickers and a pacing timer per connection; at thousands of sessions
-// the scheduler and timer heaps dominate the host. Under Sched every connection is
-// one shard.Task on a fixed worker pool, its pacing rides the shared
-// timer wheel, and — crucially — an idle session arms nothing at all:
-// the damage hook (core.ClientBuffer.SetOnQueued) wakes the pump when
-// there is something to deliver, a one-shot wheel entry is booked only
-// for a pass the pacing rule holds back, heartbeats are batched wheel
-// entries, and the pump runs only when damage, a timer or an inbound
-// control message wakes it. Wire behavior is byte-identical to the
-// goroutine driver; the pacing rule (pace.go), flushTick,
-// heartbeatTick, auditTick, and dispatch are the same code in both.
+// This file is the one delivery state machine every connection runs.
+// A connection is one shard.Task: the damage hook
+// (core.ClientBuffer.SetOnQueued), an inbound control message or one of
+// its timers wakes it, and the pump then runs one pass over everything
+// due. An idle session runs no delivery pass and books no
+// pacing timer: a one-shot runtime timer is booked only for a pass the
+// pacing rule (pace.go) holds back, and the heartbeat and audit timers
+// are one-shots the pump re-books after the pass each triggered.
+//
+// Where the pump runs is fixed by how the host was built. A Fleet host
+// shares the fleet's worker pool, so ten thousand sessions cost a
+// handful of goroutines. A plain NewHost gives each connection its own
+// one-worker pool: a socket peer that stops draining then blocks only
+// its own worker (for up to WriteTimeout), never a sibling's delivery.
 type schedConn struct {
 	task *shard.Task
 	sess *session
+	// pool is the connection's private one-worker pool on a plain host,
+	// started at attach and stopped after teardown; nil on a Fleet host.
+	pool *shard.Pool
 
 	// batch plus its bound queue/flush pair; owned by the pump (the
 	// sole writer), released by finishSched.
@@ -39,13 +43,14 @@ type schedConn struct {
 	pass    func(paced bool) (wrote, more bool, err error)
 	pending func() bool
 
-	hbTimer    *shard.Timer // periodic heartbeat wheel entry
-	auditTimer *shard.Timer // periodic audit wheel entry (nil when disabled)
+	// One-shot runtime timers: the next heartbeat and audit pass (the
+	// audit one unused when disabled), and the pass the pacing rule
+	// holds back. Each callback only sets its due flag and wakes the
+	// task, so a timer never runs connection work itself.
+	hbTimer, auditTimer, paced *time.Timer
 
-	// due flags, set by wheel callbacks (flushDue also by the damage
-	// hook, see wakeFlush) and consumed by the pump. A timer callback
-	// only stores a flag and wakes the task, so wheel advancing never
-	// blocks on connection work.
+	// due flags, set by the timer callbacks (flushDue by the pusher's
+	// wake, see wakeFlush) and consumed by the pump.
 	hbDue    atomic.Bool
 	auditDue atomic.Bool
 	flushDue atomic.Bool
@@ -71,17 +76,18 @@ type schedConn struct {
 
 	// event marks an EventSession-driven connection: no reader
 	// goroutine exists, so finishSched itself runs the Host teardown
-	// tail (a socket conn's runScheduled caller does it instead).
+	// tail (a socket conn's run caller does it instead).
 	event bool
 }
 
 // errSessionClosed tears down an EventSession on explicit Close.
 var errSessionClosed = errors.New("server: event session closed")
 
-// initSched wires the connection to the shard scheduler: the task is
-// pinned to the shard the session ticket hashes to, so a reattached
-// session lands on the same worker and its state never migrates
-// mid-flight.
+// initSched builds the connection's task and timers. On a Fleet host
+// the task is pinned to the shard the session ticket hashes to, so a
+// reattached session lands on the same worker and its state never
+// migrates mid-flight. The timers are created unbooked; startSched
+// books the periodic ones once the connection is fully set up.
 func (c *serverConn) initSched(sess *session, event bool) {
 	s := &c.sched
 	s.sess = sess
@@ -92,37 +98,32 @@ func (c *serverConn) initSched(sess *session, event bool) {
 	s.done = make(chan struct{})
 	s.finC = make(chan struct{})
 	s.lastIn.Store(time.Now().UnixNano())
-	s.task = c.host.opts.Sched.Pool().Task(shard.Hash(sess.ticket), c.pump)
-}
-
-// startSched arms the periodic wheel entries.
-func (c *serverConn) startSched() {
-	s := &c.sched
-	w := c.host.opts.Sched.Wheel()
-	s.hbTimer = w.Every(c.host.opts.HeartbeatInterval, func() {
+	var pool *shard.Pool
+	pool, s.pool = c.host.taskPool()
+	s.task = pool.Task(shard.Hash(sess.ticket), c.pump)
+	s.hbTimer = unbookedTimer(func() {
 		s.hbDue.Store(true)
 		s.task.Wake()
 	})
-	if !c.host.opts.DisableAudit {
-		s.auditTimer = w.Every(c.host.opts.AuditInterval, func() {
-			s.auditDue.Store(true)
-			s.task.Wake()
-		})
-	}
+	s.auditTimer = unbookedTimer(func() {
+		s.auditDue.Store(true)
+		s.task.Wake()
+	})
+	s.paced = unbookedTimer(c.wakeFlush)
 }
 
-// wakeControl nudges the pump after dispatch queued a control answer
-// (pong echo, audit reply, e2e ack); a no-op under the goroutine
-// driver, whose flush loop selects on the channels directly.
-func (c *serverConn) wakeControl() {
-	if c.sched.task != nil {
-		c.sched.task.Wake()
+// startSched books the first heartbeat and audit passes.
+func (c *serverConn) startSched() {
+	s := &c.sched
+	s.hbTimer.Reset(c.host.opts.HeartbeatInterval)
+	if !c.host.opts.DisableAudit {
+		s.auditTimer.Reset(c.host.opts.AuditInterval)
 	}
 }
 
 // pump is the task callback: one scheduled pass over everything due.
-// It runs under the same watchdog as the classic loops, so a panic in
-// the command path tears this connection down instead of the worker.
+// It runs under the watchdog, so a panic in the command path tears
+// this connection down instead of the worker.
 func (c *serverConn) pump() {
 	s := &c.sched
 	select {
@@ -173,6 +174,7 @@ func (c *serverConn) pumpOnce() error {
 		if err := c.auditTick(s.queue, s.flush); err != nil {
 			return err
 		}
+		s.auditTimer.Reset(c.host.opts.AuditInterval)
 	}
 	if s.hbDue.Swap(false) {
 		if s.event {
@@ -197,6 +199,7 @@ func (c *serverConn) pumpOnce() error {
 		if err := c.heartbeatTick(s.queue, s.flush); err != nil {
 			return err
 		}
+		s.hbTimer.Reset(c.host.opts.HeartbeatInterval)
 	}
 	if s.flushDue.Swap(false) {
 		wait, err := c.push.deliver(s.pass, s.pending)
@@ -204,9 +207,9 @@ func (c *serverConn) pumpOnce() error {
 			return err
 		}
 		if wait > 0 {
-			// The pacing rule holds the next pass back: book it on the
-			// wheel, which never fires it early.
-			c.host.opts.Sched.Wheel().NotBefore(wait, c.push.wake)
+			// The pacing rule holds the next pass back: the timer
+			// wakes the pump again when it is due.
+			s.paced.Reset(wait)
 		}
 	}
 	return nil
@@ -233,42 +236,51 @@ func (c *serverConn) fail(err error) {
 	c.finishSched()
 }
 
-// finishSched is the single teardown tail of a scheduled connection:
-// stop the wheel entries, close the task, release the batch, and — for
-// event sessions, which have no serving goroutine — run the Host
-// teardown that runScheduled's caller performs for socket conns.
+// finishSched is the single teardown tail of a connection: stop the
+// timers, close the task, release the batch, and — for event sessions,
+// which have no serving goroutine — run the Host teardown that run's
+// caller performs for socket conns.
 func (c *serverConn) finishSched() {
 	s := &c.sched
 	if !s.finished.CompareAndSwap(false, true) {
 		return
 	}
-	if s.hbTimer != nil {
-		s.hbTimer.Stop()
-	}
-	if s.auditTimer != nil {
-		s.auditTimer.Stop()
-	}
+	s.hbTimer.Stop()
+	s.auditTimer.Stop()
+	s.paced.Stop()
 	s.task.Close()
 	s.batch.Release()
 	if s.event {
-		c.host.finishConn(c, s.sess, s.err)
-		c.host.wg.Done()
+		h := c.host
+		h.finishConn(c, s.sess, s.err)
+		if s.pool != nil {
+			// This may be the pool's own worker, which cannot wait for
+			// itself to exit; the host's wait group covers the stop.
+			go func() {
+				defer h.wg.Done()
+				h.stopPool(s.pool)
+			}()
+		} else {
+			h.wg.Done()
+		}
 	}
 	close(s.finC)
 }
 
-// runScheduled drives a socket connection under the sharded core: the
-// calling goroutine becomes the blocking reader (one goroutine per
-// socket — the kernel requires it — instead of the classic two), while
-// delivery runs on the shard workers. It returns after the pump-side
-// teardown completes.
-func (c *serverConn) runScheduled() error {
+// run drives a socket connection: the calling goroutine becomes the
+// blocking reader (the kernel requires one per socket) while delivery
+// runs on the pump. It returns after the pump-side teardown completes
+// and the connection's private pool, if any, has stopped.
+func (c *serverConn) run() error {
 	s := &c.sched
 	err := c.guard("read", s.done, c.readLoop)
 	if err != nil {
 		c.fail(err)
 	}
 	<-s.finC
+	if s.pool != nil {
+		c.host.stopPool(s.pool)
+	}
 	if s.err != nil {
 		return s.err
 	}
@@ -277,22 +289,18 @@ func (c *serverConn) runScheduled() error {
 
 // EventSession is a fully event-driven connection: no reader goroutine
 // exists, and inbound messages are injected pre-decoded via Deliver.
-// This is the substrate the 10k-session load harness runs on — an idle
-// event session costs zero goroutines and zero armed timers beyond its
-// batched heartbeat wheel entry.
+// This is the substrate the 10k-session load harness runs on — on a
+// Fleet host an idle event session costs zero goroutines and one
+// booked heartbeat timer.
 type EventSession struct {
 	sc *serverConn
 }
 
 // ServeEvent authenticates a connection exactly like ServeConn (the
 // handshake is synchronous on the caller), then attaches it to the
-// sharded core and returns. Outbound traffic flows through nc as
-// usual; inbound messages must be injected with Deliver. Requires
-// Options.Sched.
+// delivery core and returns. Outbound traffic flows through nc as
+// usual; inbound messages must be injected with Deliver.
 func (h *Host) ServeEvent(nc net.Conn) (*EventSession, error) {
-	if h.opts.Sched == nil {
-		return nil, errors.New("server: ServeEvent requires Options.Sched")
-	}
 	hr, err := h.handshake(nc)
 	if err != nil {
 		return nil, err
@@ -339,4 +347,47 @@ func (es *EventSession) Err() error {
 func (es *EventSession) Close() {
 	es.sc.fail(errSessionClosed)
 	<-es.sc.sched.finC
+}
+
+// taskPool returns the pool a new connection or recorder runs on: a
+// Fleet host's shared pool, or on a plain host a private one-worker
+// pool, hooked to the host's task histograms and returned as own too,
+// for the caller to stop with stopPool.
+func (h *Host) taskPool() (pool, own *shard.Pool) {
+	if h.pool != nil {
+		return h.pool, nil
+	}
+	p := shard.NewPool(1)
+	p.OnWait, p.OnRun = h.met.taskWait.Observe, h.met.taskRun.Observe
+	p.Start()
+	h.mu.Lock()
+	h.ownPools[p] = struct{}{}
+	h.mu.Unlock()
+	return p, p
+}
+
+// stopPool stops a private pool from taskPool and folds its final counts into
+// the host's retired totals. It must not run on p's own worker.
+func (h *Host) stopPool(p *shard.Pool) {
+	p.Stop()
+	st := p.Stats()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delete(h.ownPools, p)
+	h.retiredPools.Wakes += st.Wakes
+	h.retiredPools.Runs += st.Runs
+}
+
+// poolStats sums the wakes and runs of every private pool the host has
+// started, live or stopped, for the thinc_shard_task_* counters.
+func (h *Host) poolStats() shard.PoolStats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st := h.retiredPools
+	for p := range h.ownPools {
+		ps := p.Stats()
+		st.Wakes += ps.Wakes
+		st.Runs += ps.Runs
+	}
+	return st
 }

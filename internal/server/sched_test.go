@@ -178,16 +178,36 @@ func TestEventSessionReapedWhenSilent(t *testing.T) {
 	}
 }
 
-// TestServeEventRequiresScheduler: without Options.Sched the event API
-// must refuse rather than half-attach.
-func TestServeEventRequiresScheduler(t *testing.T) {
+// TestServeEventPlainHost: a plain host serves event sessions too, each
+// on a private one-worker pool, and its registry carries the task
+// series that pool feeds. Closing the session stops that worker.
+func TestServeEventPlainHost(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	host := NewHost(32, 24, testGate(), Options{})
-	t.Cleanup(host.Close)
+	host := NewHost(48, 32, testGate(), Options{FlushInterval: time.Millisecond, DisableAudit: true})
+	defer host.Close()
 	srv, cln := simnet.NewEventPair()
-	defer cln.Close()
-	if _, err := host.ServeEvent(srv); err == nil {
-		t.Fatal("ServeEvent without a scheduler succeeded")
+	es, conn := serveEvent(t, host, srv, cln, 48, 32)
+	defer conn.Close()
+	go conn.Run()
+
+	host.Do(func(d *xserver.Display) {
+		win := d.CreateWindow(geom.XYWH(0, 0, 48, 32))
+		d.FillRect(win, &xserver.GC{Fg: pixel.RGB(200, 90, 30)}, geom.XYWH(0, 0, 48, 32))
+	})
+	want := host.ScreenChecksum()
+	waitFor(t, "event client convergence", func() bool {
+		return conn.Snapshot().Checksum() == want
+	})
+	reg := host.Telemetry()
+	if runs := reg.Total("thinc_shard_task_runs_total"); runs == 0 {
+		t.Fatal("the connection's pool ran no tasks")
+	}
+	if n, _ := reg.HistogramStats("thinc_shard_task_wait_ns"); n == 0 {
+		t.Fatal("the connection's pool fed no task-wait samples")
+	}
+	es.Close()
+	if err := es.Err(); !errors.Is(err, errSessionClosed) {
+		t.Fatalf("Err = %v, want errSessionClosed", err)
 	}
 }
 

@@ -135,17 +135,6 @@ type Options struct {
 	MarkTimeout time.Duration
 	// DisableE2E turns end-to-end mark tracing off entirely.
 	DisableE2E bool
-
-	// Sched switches the Host to the sharded, event-driven delivery
-	// core: connection pumps run as shard.Tasks on the scheduler's
-	// fixed worker pool instead of per-connection flush goroutines,
-	// and heartbeat/audit/flush pacing rides its batched timer wheel
-	// instead of per-connection tickers. An idle session then costs
-	// zero goroutines (beyond the blocking reader a real net.Conn
-	// requires — ServeEvent drops even that) and zero timer churn.
-	// Nil keeps the classic goroutine-pair driver. Wire behavior is
-	// identical either way; only the execution substrate changes.
-	Sched *shard.Scheduler
 }
 
 func (o Options) withDefaults() Options {
@@ -261,9 +250,8 @@ type session struct {
 	role     uint8
 	cl       *core.Client
 	detached bool
-	// expiry reaps the retained session after the detach grace: a
-	// runtime timer in goroutine mode, a wheel timer under Sched.
-	expiry interface{ Stop() bool }
+	// expiry reaps the retained session after the detach grace.
+	expiry *time.Timer
 
 	// cacheEpoch is the payload-cache generation stamped into this
 	// session's SessionTicket (wire v7): a reattach resumes the retained
@@ -300,25 +288,37 @@ type Host struct {
 	// resync is the reattach-storm admission gate (wire v7).
 	resync *resyncGate
 
+	// pool is a Fleet's shared worker pool; nil on a plain host, whose
+	// connections and recorders each run on a private pool (taskPool).
+	// ownPools holds the live private pools and retiredPools the wakes
+	// and runs of stopped ones (guarded by mu), so the host's
+	// thinc_shard_task_* counters cover every pool it ever ran.
+	pool         *shard.Pool
+	ownPools     map[*shard.Pool]struct{}
+	retiredPools shard.PoolStats
+
 	met *hostMetrics
 }
 
 // NewHost creates a session of the given geometry gated by auth.
 func NewHost(w, h int, gate *auth.Authenticator, opts Options) *Host {
-	return newHostWith(w, h, gate, opts, nil)
+	return newHostWith(w, h, gate, opts, nil, nil)
 }
 
-// newHostWith is NewHost with an optionally shared instrument bundle:
-// a Fleet passes one hostMetrics for all its hosts (per-host gauges
-// and per-conn series are skipped there — label cardinality), nil
-// builds a private bundle the classic way.
-func newHostWith(w, h int, gate *auth.Authenticator, opts Options, met *hostMetrics) *Host {
+// newHostWith is NewHost on an optionally shared substrate: a Fleet
+// passes one hostMetrics for all its hosts (per-host gauges and
+// per-conn series are skipped there — label cardinality) and its
+// worker pool; nil, nil builds a private bundle and runs every
+// connection on a pool of its own.
+func newHostWith(w, h int, gate *auth.Authenticator, opts Options, met *hostMetrics, pool *shard.Pool) *Host {
 	h2 := &Host{
 		opts:     opts.withDefaults(),
 		gate:     gate,
 		sound:    audio.NewDriver(),
 		conns:    make(map[*serverConn]struct{}),
 		sessions: shard.NewRegistry(8),
+		pool:     pool,
+		ownPools: make(map[*shard.Pool]struct{}),
 	}
 	h2.resync = newResyncGate(h2.opts.ResyncAdmit, h2.opts.ResyncRetryAfter,
 		time.Now().UnixNano())
@@ -326,6 +326,7 @@ func newHostWith(w, h int, gate *auth.Authenticator, opts Options, met *hostMetr
 		met = defaultHostMetrics()
 		h2.met = met
 		met.registerHostGauges(h2)
+		met.registerPoolMetrics(h2.poolStats)
 	} else {
 		h2.met = met
 	}
@@ -408,11 +409,7 @@ func (h *Host) Close() {
 	}
 	h.mu.Unlock()
 	for _, sc := range conns {
-		if sc.sched.task != nil {
-			sc.fail(errHostClosed)
-		} else {
-			_ = sc.nc.Close()
-		}
+		sc.fail(errHostClosed)
 	}
 	h.wg.Wait()
 	h.sessions.Range(func(k string, v any, _ bool) bool {
@@ -514,10 +511,8 @@ func newTicket() (string, error) {
 
 // ServeConn authenticates and serves one client connection, returning
 // when the client disconnects, times out, or fails authentication.
-// With Options.Sched set the connection is driven by the sharded
-// delivery core (the blocking reader runs on this goroutine, so the
-// connection still costs one goroutine — it, not two); otherwise the
-// classic read/flush goroutine pair runs.
+// This goroutine becomes the connection's blocking reader; delivery
+// runs on the pump (sched.go).
 func (h *Host) ServeConn(nc net.Conn) error {
 	defer nc.Close()
 	hr, err := h.handshake(nc)
@@ -525,11 +520,7 @@ func (h *Host) ServeConn(nc net.Conn) error {
 		return err
 	}
 	sc := h.attachConn(nc, hr, false)
-	if h.opts.Sched != nil {
-		err = sc.runScheduled()
-	} else {
-		err = sc.run()
-	}
+	err = sc.run()
 	h.finishConn(sc, hr.sess, err)
 	return err
 }
@@ -800,22 +791,19 @@ func (h *Host) handshake(nc net.Conn) (*hsResult, error) {
 
 // attachConn builds the live connection state a completed handshake
 // drives: the serverConn, its overload controller, rung carry-over,
-// audio tap, registration in the conns set, the damage-wake hook with
-// the request for the first delivery pass, and — under Sched — the
-// shard task and wheel timers.
+// audio tap, registration in the conns set, the shard task and its
+// timers, and the damage-wake hook with the request for the first
+// delivery pass.
 func (h *Host) attachConn(nc net.Conn, hr *hsResult, event bool) *serverConn {
 	sc := &serverConn{host: h, nc: nc, enc: hr.enc, cl: hr.cl, user: hr.user, role: hr.role,
-		pongs:    make(chan *wire.Pong, 8),
-		replies:  make(chan *wire.AuditReply, 4),
-		acks:     make(chan *wire.MarkAck, 8),
-		flushReq: make(chan struct{}, 1), noticeRung: -1}
+		pongs:   make(chan *wire.Pong, 8),
+		replies: make(chan *wire.AuditReply, 4),
+		acks:    make(chan *wire.MarkAck, 8), noticeRung: -1}
 	sc.push = newPusher(h.opts.FlushInterval, sc.wakeFlush)
 	if hr.gated {
 		sc.gateHeld.Store(true)
 	}
-	if h.opts.Sched != nil {
-		sc.initSched(hr.sess, event) // before anything can request a pass
-	}
+	sc.initSched(hr.sess, event) // before anything can request a pass
 	// A reattach already queued a full-screen resync, which heals any
 	// divergence an interrupted escalation sweep was chasing; the legacy
 	// verdict and probe sequence ride the session, the sweep does not.
@@ -844,9 +832,7 @@ func (h *Host) attachConn(nc net.Conn, hr *hsResult, event bool) *serverConn {
 	sc.cl.Buf.SetOnQueued(sc.push.request)
 	h.mu.Unlock()
 	h.met.registerConn(h, label, sc)
-	if h.opts.Sched != nil {
-		sc.startSched()
-	}
+	sc.startSched()
 	// The attach/reattach resync was queued before the hook existed.
 	sc.push.request()
 	return sc
@@ -892,21 +878,14 @@ func (h *Host) endSession(s *session, retain bool) {
 	}
 	s.detached = true
 	h.sessions.Detach(s.ticket, s)
-	expire := func() {
+	s.expiry = time.AfterFunc(h.opts.DetachGrace, func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		if h.sessions.Remove(s.ticket, s) {
 			h.stats.ExpiredSessions++
 			h.met.expiredSessions.Inc()
 		}
-	}
-	// Under Sched the reap timer lives in the shared wheel — 10k
-	// detached sessions are 10k wheel entries, not 10k runtime timers.
-	if sched := h.opts.Sched; sched != nil {
-		s.expiry = sched.Wheel().After(h.opts.DetachGrace, expire)
-	} else {
-		s.expiry = time.AfterFunc(h.opts.DetachGrace, expire)
-	}
+	})
 }
 
 // serverConn is one live client connection.
@@ -922,16 +901,16 @@ type serverConn struct {
 	acks    chan *wire.MarkAck
 
 	// aud is the in-flight integrity-probe state; owned entirely by the
-	// flush loop (the sole prober), so it needs no lock.
+	// pump (the sole prober), so it needs no lock.
 	aud auditConn
 
-	// e2e is the in-flight end-to-end mark window; owned by the flush
-	// loop (the sole marker), so it needs no lock either.
+	// e2e is the in-flight end-to-end mark window; owned by the pump
+	// (the sole marker), so it needs no lock either.
 	e2e e2eConn
 
 	// Overload protection. The estimator is fed from two goroutines —
-	// flush progress by the flush loop, heartbeat RTT by the read loop —
-	// so estMu guards it and the controller.
+	// flush progress by the pump, heartbeat RTT by the read loop — so
+	// estMu guards it and the controller.
 	estMu sync.Mutex
 	est   overload.Estimator
 	ctrl  *overload.Controller // nil when the ladder is disabled
@@ -940,33 +919,30 @@ type serverConn struct {
 	watchdogs int64 // panics this connection survived (atomic)
 
 	// gateHeld marks that this connection holds a resync-gate slot; the
-	// flush loop clears it (releasing the slot) the first time the
+	// pump clears it (releasing the slot) the first time the
 	// resync backlog drains, and teardown releases whatever remains.
 	gateHeld atomic.Bool
 
 	// noticeRung is a pending out-of-band DegradeNotice rung (-1 none):
 	// ForceRung and reattach rung carry-over park the value here and the
-	// flush loop, which owns the encoder, emits the notice.
+	// pump, which owns the encoder, emits the notice.
 	noticeRung int32
 
 	// push paces delivery (see pace.go): the damage hook and out-of-band
-	// nudges request a pass, the flush driver runs it. flushReq carries
-	// the wake to the goroutine flush loop (the sharded pump is woken as
-	// a task instead); wrote counts the bytes the flush driver has
-	// committed, so a pass can tell whether it delivered anything.
-	push     *pusher
-	flushReq chan struct{}
-	wrote    int64
+	// nudges request a pass, the pump runs it. wrote counts the bytes the
+	// pump has committed, so a pass can tell whether it delivered
+	// anything.
+	push  *pusher
+	wrote int64
 
-	// pingSeq numbers outgoing heartbeats; owned by the flush driver
-	// (flush loop or shard pump), which is the sole sender.
+	// pingSeq numbers outgoing heartbeats; owned by the pump, which is
+	// the sole sender.
 	pingSeq uint32
 
 	// detachAudio unhooks the session's audio tap at teardown.
 	detachAudio func()
 
-	// sched is the event-driven driver's state (Options.Sched); its
-	// zero value marks the classic goroutine-pair driver.
+	// sched is the pump's state (sched.go).
 	sched schedConn
 
 	unknownLogged map[wire.Type]bool
@@ -974,7 +950,7 @@ type serverConn struct {
 
 // forceRung adopts an externally-set rung: telemetry, the controller
 // (so its hysteresis resumes from here), and a pending DegradeNotice
-// for the flush loop to emit.
+// for the pump to emit.
 func (c *serverConn) forceRung(rung int) {
 	atomic.StoreInt32(&c.rung, int32(rung))
 	atomic.StoreInt32(&c.noticeRung, int32(rung))
@@ -988,26 +964,17 @@ func (c *serverConn) forceRung(rung int) {
 	c.push.request()
 }
 
-// wakeFlush is the pusher's wake: it hands the flush driver the request
-// for a delivery pass, at once or (from the pacing timer) when a held
-// pass falls due. The damage hook calls it under h.mu, so the send to
-// the goroutine driver must not block; the pusher keeps at most one
-// request pending, so the one slot is free whenever it is needed.
+// wakeFlush is the pusher's wake: it asks the pump for a delivery pass,
+// at once or (from the pacing timer) when a held pass falls due. The
+// damage hook calls it under h.mu; a task wake never blocks.
 func (c *serverConn) wakeFlush() {
-	if s := &c.sched; s.task != nil {
-		s.flushDue.Store(true)
-		s.task.Wake()
-		return
-	}
-	select {
-	case c.flushReq <- struct{}{}:
-	default:
-	}
+	c.sched.flushDue.Store(true)
+	c.sched.task.Wake()
 }
 
-// flushPass binds flushTick to a driver's batch as the pusher's pass,
+// flushPass binds flushTick to the pump's batch as the pusher's pass,
 // and flushPending is the pusher's check for work a request was made
-// for (queued commands, a parked notice); both drivers build the pair
+// for (queued commands, a parked notice); the pump builds the pair
 // once per connection.
 func (c *serverConn) flushPass(batch *wire.Batch, queue func(wire.Message) error, flush func() error) func(bool) (bool, bool, error) {
 	return func(paced bool) (wrote, more bool, err error) {
@@ -1033,25 +1000,6 @@ func (c *serverConn) flushPending() bool {
 	c.host.mu.Lock()
 	defer c.host.mu.Unlock()
 	return c.cl.Buf.Len() > 0
-}
-
-// run pumps the reader and the flush loop until either fails, then
-// tears both down and waits for them — no goroutine outlives run.
-// Both loops run under the watchdog: a panic anywhere in the command
-// path becomes an error here, so one poisoned connection tears down
-// cleanly (and may reattach) instead of killing the whole host.
-func (c *serverConn) run() error {
-	errc := make(chan error, 2)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); errc <- c.guard("read", done, c.readLoop) }()
-	go func() { defer wg.Done(); errc <- c.guard("flush", done, c.flushLoop) }()
-	err := <-errc
-	close(done)
-	_ = c.nc.Close() // unblock the sibling loop
-	wg.Wait()
-	return err
 }
 
 // guard is the per-goroutine watchdog: it converts a panic in loop
@@ -1132,11 +1080,11 @@ func (c *serverConn) dispatch(m wire.Message) error {
 			c.cl.Resize(v.ViewW, v.ViewH)
 		}()
 	case *wire.Ping:
-		// Client-initiated probe: queue the echo for the writer.
+		// Client-initiated probe: queue the echo for the pump.
 		select {
 		case c.pongs <- &wire.Pong{Seq: v.Seq, TimeUS: v.TimeUS}:
-			c.wakeControl()
-		default: // writer backlogged; the next probe will do
+			c.sched.task.Wake()
+		default: // pump backlogged; the next probe will do
 		}
 	case *wire.Pong:
 		// The read itself already refreshed the liveness deadline.
@@ -1152,19 +1100,19 @@ func (c *serverConn) dispatch(m wire.Message) error {
 	case *wire.UpdateRequest:
 		// Push architecture: requests are legal but unnecessary.
 	case *wire.AuditReply:
-		// Queue the digest reply for the flush driver, which owns the
-		// audit state machine.
+		// Queue the digest reply for the pump, which owns the audit
+		// state machine.
 		select {
 		case c.replies <- v:
-			c.wakeControl()
-		default: // audit loop backlogged; the next probe re-checks
+			c.sched.task.Wake()
+		default: // pump backlogged; the next probe re-checks
 		}
 	case *wire.MarkAck:
-		// Queue the e2e ack for the flush driver, which owns the mark
-		// window; a dropped ack just expires as a timeout.
+		// Queue the e2e ack for the pump, which owns the mark window; a
+		// dropped ack just expires as a timeout.
 		select {
 		case c.acks <- v:
-			c.wakeControl()
+			c.sched.task.Wake()
 		default:
 		}
 	case *wire.CacheMiss:
@@ -1210,73 +1158,10 @@ func (c *serverConn) logUnknown(err error) {
 	}
 }
 
-// flushLoop is the delivery engine: when damage or the pacing timer
-// wakes it, it drains up to the budget from the client buffer and
-// writes the messages out. All budgeted messages are framed into one
-// pooled batch buffer (large pixel slabs ride along by reference) and
-// committed with a single vectored write — the non-blocking socket
-// commit of §5 over a real TCP connection, with no per-message
-// allocation. It also owns the write side of the heartbeat (Pings out,
-// Pong echoes out) and applies the slow-client policy when the backlog
-// outgrows its bound.
-func (c *serverConn) flushLoop(done <-chan struct{}) error {
-	paced := newPacedTimer(c.wakeFlush)
-	defer paced.Stop()
-	hb := time.NewTicker(c.host.opts.HeartbeatInterval)
-	defer hb.Stop()
-	var auditC <-chan time.Time
-	if !c.host.opts.DisableAudit {
-		at := time.NewTicker(c.host.opts.AuditInterval)
-		defer at.Stop()
-		auditC = at.C
-	}
-	batch := wire.NewBatch()
-	defer batch.Release()
-	queue, flush := c.makeQueueFlush(batch)
-	pass, pending := c.flushPass(batch, queue, flush), c.flushPending
-
-	for {
-		select {
-		case <-done:
-			return nil
-		case pg := <-c.pongs:
-			if err := queue(pg); err != nil {
-				return err
-			}
-			if err := flush(); err != nil {
-				return err
-			}
-		case r := <-c.replies:
-			c.auditReply(r)
-		case a := <-c.acks:
-			c.e2eAck(a)
-		case <-auditC:
-			if err := c.auditTick(queue, flush); err != nil {
-				return err
-			}
-		case <-hb.C:
-			if err := c.heartbeatTick(queue, flush); err != nil {
-				return err
-			}
-		case <-c.flushReq:
-			wait, err := c.push.deliver(pass, pending)
-			if err != nil {
-				return err
-			}
-			if wait > 0 {
-				// The pacing rule holds the next pass back: the timer
-				// sends the request again when it is due.
-				paced.Reset(wait)
-			}
-		}
-	}
-}
-
-// makeQueueFlush builds the batch-bound queue/flush pair shared by the
-// goroutine flush loop and the sharded scheduler pump. queue frames m
-// into the batch and feeds the per-type wire counters from the O(1)
-// analytic size; flush commits the whole batch in one write under the
-// write deadline.
+// makeQueueFlush builds the pump's batch-bound queue/flush pair. queue
+// frames m into the batch and feeds the per-type wire counters from the
+// O(1) analytic size; flush commits the whole batch in one write under
+// the write deadline.
 func (c *serverConn) makeQueueFlush(batch *wire.Batch) (queue func(wire.Message) error, flush func() error) {
 	met := c.host.met
 	queue = func(m wire.Message) error {
@@ -1321,10 +1206,12 @@ func (c *serverConn) heartbeatTick(queue func(wire.Message) error, flush func() 
 }
 
 // flushTick runs one delivery pass: drain up to the budget from the
-// client buffer, commit the batch in one vectored write, run the
-// overload controller, and apply the slow-client policy. It returns
-// the post-flush backlog so the caller can decide whether another pass
-// is needed.
+// client buffer, frame the messages into the pooled batch (large pixel
+// slabs ride along by reference) and commit it in one vectored write —
+// the non-blocking socket commit of §5 over a real TCP connection, with
+// no per-message allocation — then run the overload controller and
+// apply the slow-client policy. It returns the post-flush backlog so
+// the caller can decide whether another pass is needed.
 func (c *serverConn) flushTick(batch *wire.Batch, queue func(wire.Message) error, flush func() error) (int, error) {
 	met := c.host.met
 	var msgs []wire.Message
@@ -1386,7 +1273,7 @@ func (c *serverConn) flushTick(batch *wire.Batch, queue func(wire.Message) error
 		c.host.resync.release()
 	}
 	// An out-of-band rung change (ForceRung, reattach carry-over)
-	// parked a notice for us — the flush loop owns the encoder.
+	// parked a notice for us — the pump owns the encoder.
 	if want := atomic.SwapInt32(&c.noticeRung, -1); want >= 0 {
 		if err := queue(&wire.DegradeNotice{Rung: uint8(want),
 			Cause: wire.CauseAdmin, BacklogBytes: clampU32(backlog)}); err != nil {

@@ -45,6 +45,25 @@ func startHost(t *testing.T, w, h int, opts Options) (*Host, string) {
 	return host, l.Addr().String()
 }
 
+// startFleetHost is startHost on a one-host Fleet: the host's
+// connections run their pumps on the fleet's shared worker pool.
+func startFleetHost(t *testing.T, w, h int, opts Options) (*Host, string) {
+	t.Helper()
+	testutil.CheckGoroutines(t)
+	fleet := NewFleet(opts, shard.Options{})
+	host := fleet.NewHost(w, h, testGate())
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go host.Serve(l)
+	t.Cleanup(func() {
+		l.Close()
+		fleet.Close()
+	})
+	return host, l.Addr().String()
+}
+
 // waitFor polls until cond is true or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -87,15 +106,12 @@ func TestEndToEndOverTCP(t *testing.T) {
 	})
 }
 
-// TestEndToEndOverTCPSharded is the socket end-to-end path under the
-// sharded delivery core (Options.Sched): the accept goroutine becomes
-// the blocking reader (runScheduled) while flushes, heartbeats, and
-// dispatch run on the shard workers. The client must converge exactly
-// as under the classic goroutine driver.
+// TestEndToEndOverTCPSharded is the socket end-to-end path on a Fleet
+// host: the accept goroutine is the blocking reader while flushes,
+// heartbeats, and dispatch run on the fleet's shared shard workers.
+// The client must converge exactly as on a plain host.
 func TestEndToEndOverTCPSharded(t *testing.T) {
-	sched := shard.NewScheduler(shard.Options{})
-	t.Cleanup(sched.Close)
-	host, addr := startHost(t, 160, 120, Options{FlushInterval: time.Millisecond, Sched: sched})
+	host, addr := startFleetHost(t, 160, 120, Options{FlushInterval: time.Millisecond})
 
 	conn, err := client.Dial(addr, "owner", "pw", 160, 120)
 	if err != nil {
@@ -231,6 +247,7 @@ func TestAudioOverTCP(t *testing.T) {
 
 func TestSessionRecordAndReplay(t *testing.T) {
 	host := NewHost(96, 72, testGate(), Options{FlushInterval: time.Millisecond})
+	defer host.Close()
 	var buf safeBuffer
 	rec := host.Record(&buf)
 

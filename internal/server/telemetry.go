@@ -6,6 +6,7 @@ import (
 	"thinc/internal/compress"
 	"thinc/internal/core"
 	"thinc/internal/overload"
+	"thinc/internal/shard"
 	"thinc/internal/telemetry"
 	"thinc/internal/wire"
 )
@@ -66,6 +67,10 @@ type hostMetrics struct {
 	// Warm reattach and storm admission (wire v7).
 	warmReattaches, coldReattaches *telemetry.Counter
 	reattachRejected               *telemetry.Counter
+
+	// Task scheduling on the worker pools that run the connection pumps
+	// (registerPoolMetrics); every pool's hooks feed these.
+	taskWait, taskRun *telemetry.Histogram
 
 	// perConn enables the per-connection series of registerConn. A
 	// private single-Host bundle keeps them; a Fleet sharing one bundle
@@ -323,6 +328,26 @@ func (m *hostMetrics) registerHostGauges(h *Host) {
 			"wire bytes waiting per SRSF queue across all clients",
 			func() int64 { _, b := h.queueLoads(); return b[q] }, label)
 	}
+}
+
+// registerPoolMetrics publishes the task-scheduling series of the pools
+// that run this bundle's connections: queue wait (the fairness
+// headline — a starved session shows up here long before a user
+// notices) and run time (the cost of one pump pass), observed by the
+// pools' hooks, plus wake and run counters read from stats at scrape
+// time. A Fleet registers its shared pool; a plain host registers the
+// sum over its private per-connection pools.
+func (m *hostMetrics) registerPoolMetrics(stats func() shard.PoolStats) {
+	m.taskWait = m.reg.Histogram("thinc_shard_task_wait_ns",
+		"queue wait from task wake to callback start", telemetry.FineLatencyBucketsNS)
+	m.taskRun = m.reg.Histogram("thinc_shard_task_run_ns",
+		"execution time of one task callback", telemetry.FineLatencyBucketsNS)
+	m.reg.CounterFunc("thinc_shard_task_wakes_total",
+		"task wakes accepted (coalesced wakes count once)",
+		func() int64 { return stats().Wakes })
+	m.reg.CounterFunc("thinc_shard_task_runs_total",
+		"task callback invocations across all shards",
+		func() int64 { return stats().Runs })
 }
 
 // registerConn publishes one connection's per-client series: the

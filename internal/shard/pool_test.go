@@ -271,11 +271,11 @@ func TestSchedulerLifecycle(t *testing.T) {
 	var ran atomic.Bool
 	done := make(chan struct{})
 	tk := s.Pool().Task(Hash("ticket"), func() { ran.Store(true); close(done) })
-	s.Wheel().After(time.Millisecond, func() { tk.Wake() })
+	time.AfterFunc(time.Millisecond, func() { tk.Wake() })
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatalf("wheel→task pipeline never fired")
+		t.Fatalf("timer→task pipeline never fired")
 	}
 	s.Registry().Attach("ticket", 1)
 	if s.Registry().Len() != 1 {

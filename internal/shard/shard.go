@@ -1,27 +1,19 @@
 // Package shard is the substrate of the multi-session delivery core:
 // a fixed pool of worker shards draining per-shard FIFO run queues
-// (Pool/Task), a hashed timer wheel batching heartbeat/audit/mark
-// timers (Wheel), and a sharded session registry (Registry).
+// (Pool/Task) and a sharded session registry (Registry).
 //
-// The design goal is that an idle session costs zero goroutines and
-// zero timer churn: sessions are Tasks that only occupy a run queue
-// while they have work, and their periodic obligations are entries in
-// a shared wheel rather than per-session time.Timers. Goroutine count
-// is O(shards) — one worker per shard plus one wheel driver —
-// regardless of how many sessions are registered.
+// The design goal is that an idle session costs zero goroutines: a
+// session is a Task that only occupies a run queue while it has work,
+// so goroutine count is O(shards) — one worker per shard — regardless
+// of how many sessions are registered. Timers are not this package's
+// business: a session books Go runtime timers whose callbacks only
+// wake its task.
 package shard
-
-import "time"
 
 // Options configures a Scheduler.
 type Options struct {
 	// Shards is the number of run-queue workers. 0 means DefaultShards.
 	Shards int
-	// WheelTick is the timer wheel granularity. 0 means DefaultWheelTick.
-	WheelTick time.Duration
-	// WheelSlots is the number of wheel slots (rounded up to a power of
-	// two). 0 means DefaultWheelSlots.
-	WheelSlots int
 	// RegistryShards is the number of registry shards. 0 means Shards.
 	RegistryShards int
 
@@ -33,25 +25,16 @@ type Options struct {
 	OnTaskRun  func(ns int64)
 }
 
-const (
-	// DefaultShards is deliberately small: workers are CPU-bound flush
-	// pumps, so a handful saturate the machine long before contention
-	// does. Callers hosting many cores' worth of desktops raise it.
-	DefaultShards = 4
-	// DefaultWheelTick is coarse enough that 10k heartbeat timers cost
-	// a few wakeups per millisecond, fine enough for 5ms flush pacing.
-	DefaultWheelTick = time.Millisecond
-	// DefaultWheelSlots spreads one second of timers at the default
-	// tick across distinct slots.
-	DefaultWheelSlots = 1024
-)
+// DefaultShards is deliberately small: workers are CPU-bound flush
+// pumps, so a handful saturate the machine long before contention
+// does. Callers hosting many cores' worth of desktops raise it.
+const DefaultShards = 4
 
-// Scheduler bundles a worker pool, a timer wheel, and a session
-// registry — the three pieces every sharded Host shares.
+// Scheduler bundles a worker pool and a session registry — the pieces
+// every host of a Fleet shares.
 type Scheduler struct {
-	pool  *Pool
-	wheel *Wheel
-	reg   *Registry
+	pool *Pool
+	reg  *Registry
 }
 
 // NewScheduler builds and starts a scheduler.
@@ -59,40 +42,25 @@ func NewScheduler(o Options) *Scheduler {
 	if o.Shards <= 0 {
 		o.Shards = DefaultShards
 	}
-	if o.WheelTick <= 0 {
-		o.WheelTick = DefaultWheelTick
-	}
-	if o.WheelSlots <= 0 {
-		o.WheelSlots = DefaultWheelSlots
-	}
 	if o.RegistryShards <= 0 {
 		o.RegistryShards = o.Shards
 	}
 	s := &Scheduler{
-		pool:  NewPool(o.Shards),
-		wheel: NewWheel(o.WheelTick, o.WheelSlots),
-		reg:   NewRegistry(o.RegistryShards),
+		pool: NewPool(o.Shards),
+		reg:  NewRegistry(o.RegistryShards),
 	}
 	s.pool.OnWait = o.OnTaskWait
 	s.pool.OnRun = o.OnTaskRun
 	s.pool.Start()
-	s.wheel.Start()
 	return s
 }
 
 // Pool returns the worker pool.
 func (s *Scheduler) Pool() *Pool { return s.pool }
 
-// Wheel returns the timer wheel.
-func (s *Scheduler) Wheel() *Wheel { return s.wheel }
-
 // Registry returns the session registry.
 func (s *Scheduler) Registry() *Registry { return s.reg }
 
-// Close stops the wheel and the workers. Outstanding queued tasks are
-// drained (run or skipped if closed) before workers exit; timers that
-// have not fired never will.
-func (s *Scheduler) Close() {
-	s.wheel.Stop()
-	s.pool.Stop()
-}
+// Close stops the workers. Outstanding queued tasks are drained (run
+// or skipped if closed) before workers exit.
+func (s *Scheduler) Close() { s.pool.Stop() }

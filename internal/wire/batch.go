@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 )
 
-// Encode-buffer pool. The flush paths (server flush loop, client send,
+// Encode-buffer pool. The flush paths (server delivery pump, client send,
 // WriteMessage) borrow a buffer, frame into it, write once, and return
 // it. Ownership rule: whoever calls GetBuffer calls PutBuffer, and only
 // after the transport write has fully completed — the transport may
