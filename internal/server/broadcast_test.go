@@ -303,14 +303,18 @@ func TestBadRoleRejected(t *testing.T) {
 // (polling that is cheap; a full-screen checksum per poll is not).
 func TestStalledViewerDoesNotStallOwner(t *testing.T) {
 	const (
-		w, h    = 1024, 768
-		band    = h / 3
-		updates = 40
-		limit   = 250 * time.Millisecond
+		w, h         = 1024, 768
+		band         = h / 3
+		updates      = 40
+		writeTimeout = 2 * time.Second
+		// A stalled sibling holds the owner for the whole WriteTimeout;
+		// half of it leaves room for a loaded 2-core -race run, where
+		// an unstalled 1 MB update has read 370 ms.
+		limit = writeTimeout / 2
 	)
 	host, addr := startHost(t, w, h, Options{
 		Core:            core.Options{RawCodec: compress.CodecNone},
-		WriteTimeout:    2 * time.Second,
+		WriteTimeout:    writeTimeout,
 		DisableOverload: true, // hold the owner at lossless: every update is w×band×4 RAW bytes
 	})
 	host.gate.SetSessionPassword("watch")

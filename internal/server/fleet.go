@@ -22,6 +22,7 @@ import (
 // thinc_fleet_* and thinc_shard_* series instead.
 type Fleet struct {
 	sched *shard.Scheduler
+	beats *beats
 	reg   *telemetry.Registry
 	tr    *telemetry.Tracer
 	met   *hostMetrics
@@ -40,7 +41,7 @@ func NewFleet(opts Options, so shard.Options) *Fleet {
 
 	met := newHostMetrics(reg, tr) // perConn stays false: shared bundle
 	var pool *shard.Pool           // set below; the counters read it only at scrape time
-	met.registerPoolMetrics(func() shard.PoolStats { return pool.Stats() })
+	met.registerPoolMetrics(func() int64 { return pool.Stats().Wakes })
 	so.OnTaskWait, so.OnTaskRun = met.taskWait.Observe, met.taskRun.Observe
 	sched := shard.NewScheduler(so)
 	pool = sched.Pool()
@@ -48,7 +49,7 @@ func NewFleet(opts Options, so shard.Options) *Fleet {
 	cm.Trace = tr
 	opts.Core.Metrics = cm
 
-	f := &Fleet{sched: sched, reg: reg, tr: tr, met: met, opts: opts}
+	f := &Fleet{sched: sched, beats: newBeats(), reg: reg, tr: tr, met: met, opts: opts}
 
 	// Scheduler occupancy: the load harness's self-checks read these —
 	// goroutine count must stay O(workers), not O(sessions).
@@ -90,7 +91,7 @@ func NewFleet(opts Options, so shard.Options) *Fleet {
 
 // NewHost creates a Host of the given geometry on the shared substrate.
 func (f *Fleet) NewHost(w, h int, gate *auth.Authenticator) *Host {
-	host := newHostWith(w, h, gate, f.opts, f.met, f.sched.Pool())
+	host := newHostWith(w, h, gate, f.opts, f)
 	f.mu.Lock()
 	f.hosts = append(f.hosts, host)
 	f.mu.Unlock()

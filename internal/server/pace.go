@@ -123,13 +123,3 @@ func (p *pusher) deliver(pass func(paced bool) (wrote, more bool, err error), pe
 		}
 	}
 }
-
-// unbookedTimer returns a reusable one-shot that calls f: Reset(d)
-// books it d from now. It is an AfterFunc timer, not yet booked, so
-// Reset needs no channel drained whatever the Go version; the owner
-// stops it at teardown.
-func unbookedTimer(f func()) *time.Timer {
-	t := time.AfterFunc(time.Hour, f)
-	t.Stop()
-	return t
-}

@@ -82,6 +82,11 @@ func passes(host *Host) (total, paced int64) {
 	return reg.Value("thinc_server_flush_passes_total", telemetry.L("trigger", "damage")) + paced, paced
 }
 
+// pumpRuns reads how many times the pumps of the host's pool have run.
+func pumpRuns(host *Host) int64 {
+	return host.Telemetry().Value("thinc_shard_task_runs_total")
+}
+
 // idle reports whether the host's one connection is attached and at
 // rest: nothing queued, no pass requested and no flush timer booked.
 // (deliver drops armed for a moment before it re-arms for commands that
@@ -90,7 +95,7 @@ func idle(host *Host) bool {
 	host.mu.Lock()
 	defer host.mu.Unlock()
 	for sc := range host.conns {
-		return !sc.push.armed.Load() && sc.cl.Buf.Len() == 0
+		return !sc.sched.push.armed.Load() && sc.cl.Buf.Len() == 0
 	}
 	return false
 }
@@ -152,7 +157,11 @@ func (c *stampedConn) Read(p []byte) (int, error) {
 // against a budget of four of its rows drains over 16 passes (as did
 // the initial screen before it); no window of k intervals may carry
 // more than k+1 budgets, and the drain may not finish sooner than the
-// passes' minimum spacing allows.
+// passes' minimum spacing allows. The pump books the paced timer for
+// exactly the wait the pacing rule asked for, so it never wakes before
+// a held pass is due: the drain costs one pump run per pass, not the
+// extra runs an early wake would spend finding itself early and
+// booking again.
 func TestPushRateBound(t *testing.T) {
 	const (
 		interval = 25 * time.Millisecond
@@ -160,6 +169,7 @@ func TestPushRateBound(t *testing.T) {
 		// A heartbeat riding between passes.
 		passSlack = 32
 		k         = 4
+		runSlack  = 4
 	)
 	pushDrivers(t, func(t *testing.T, serve hostStarter, opts Options) {
 		opts.FlushInterval, opts.FlushBudget = interval, budget
@@ -174,6 +184,7 @@ func TestPushRateBound(t *testing.T) {
 		tap.reads = nil
 		tap.mu.Unlock()
 		before, _ := passes(host)
+		runsBefore := pumpRuns(host)
 
 		rng := rand.New(rand.NewSource(1))
 		pix := make([]pixel.ARGB, 64*64)
@@ -192,7 +203,13 @@ func TestPushRateBound(t *testing.T) {
 		if n < 64*64*4/budget {
 			t.Fatalf("16 KB left in %d passes of %d bytes", n, budget)
 		}
-		t.Logf("%d passes in %v", n, took)
+		runs := pumpRuns(host) - runsBefore
+		t.Logf("%d passes in %v, %d pump runs", n, took, runs)
+		// Besides the passes: a first wake that finds the previous pass
+		// too recent, and a heartbeat with its pong.
+		if runs > n+runSlack {
+			t.Fatalf("%d pump runs for %d passes: paced wakes came early", runs, n)
+		}
 		if floor := time.Duration(n-1) * interval; took < floor {
 			t.Fatalf("%d passes took %v, under the %v their spacing requires", n, took, floor)
 		}
@@ -347,61 +364,6 @@ func TestPushRecorder(t *testing.T) {
 	}
 	if viewer.FB().Checksum() != host.ScreenChecksum() {
 		t.Fatal("replayed screen differs from the live one")
-	}
-}
-
-// TestPushPacedNeverEarly: a pass the pacing rule holds back is booked
-// on the paced timer, which never wakes the flusher before the due
-// time deliver asked for — so no woken pass finds itself still early
-// and re-books. Twenty passes drain a backlog one interval apart.
-func TestPushPacedNeverEarly(t *testing.T) {
-	const (
-		interval = 3 * time.Millisecond
-		passes   = 20
-	)
-	woke := make(chan struct{}, 1)
-	wake := func() {
-		select {
-		case woke <- struct{}{}:
-		default:
-		}
-	}
-	p := newPusher(interval, wake)
-	paced := unbookedTimer(wake)
-	defer paced.Stop()
-	left := passes
-	pass := func(bool) (wrote, more bool, err error) {
-		left--
-		return true, left > 0, nil
-	}
-	pending := func() bool { return left > 0 }
-
-	p.request()
-	<-woke
-	bookings := 0
-	for left > 0 {
-		wait, err := p.deliver(pass, pending)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wait == 0 {
-			break
-		}
-		bookings++
-		due := time.Now().Add(wait)
-		paced.Reset(wait)
-		select {
-		case <-woke:
-		case <-time.After(5 * time.Second):
-			t.Fatal("the paced timer never fired")
-		}
-		if early := time.Until(due); early > 0 {
-			t.Fatalf("booking %d woke the flusher %v before its due time", bookings, early)
-		}
-	}
-	if left != 0 || bookings != passes-1 {
-		t.Fatalf("%d passes left after %d bookings; want 0 after %d (one per held pass)",
-			left, bookings, passes-1)
 	}
 }
 

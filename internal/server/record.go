@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"thinc/internal/core"
-	"thinc/internal/shard"
 	"thinc/internal/wire"
 )
 
@@ -27,15 +26,12 @@ type Recorder struct {
 	w     io.Writer
 	start time.Time
 
-	// The recorder is driven like any connection (see pace.go): the
-	// damage hook wakes its task, and the pacing rule books the paced
-	// timer only while a stream is in progress — an idle screen costs
-	// no wakeups. pool is its private one-worker pool on a plain host
-	// (nil on a Fleet host, whose shared pool runs the task).
-	cl    *core.Client
-	pool  *shard.Pool
-	task  *shard.Task
-	paced *time.Timer
+	// The recorder is delivered to like any connection (delivery,
+	// pace.go): the damage hook wakes its task, and the pacing rule
+	// books the paced timer only while a stream is in progress — an
+	// idle screen costs no wakeups.
+	delivery
+	cl *core.Client
 
 	// err and detached are written by the task and read by Close after
 	// the task has stopped.
@@ -47,9 +43,6 @@ type Recorder struct {
 // Record attaches a recorder to the session. Close it to detach.
 func (h *Host) Record(w io.Writer) *Recorder {
 	r := &Recorder{host: h, w: w, start: time.Now()}
-	var pool *shard.Pool
-	pool, r.pool = h.taskPool()
-	var push *pusher
 	pass := func(bool) (wrote, more bool, err error) {
 		h.mu.Lock()
 		msgs := r.cl.Flush(h.opts.FlushBudget)
@@ -67,33 +60,28 @@ func (h *Host) Record(w io.Writer) *Recorder {
 		defer h.mu.Unlock()
 		return r.cl.Buf.Len() > 0
 	}
-	r.task = pool.Task(uint64(r.start.UnixNano()), func() {
-		wait, err := push.deliver(pass, pending)
-		if err != nil {
+	r.open(h, uint64(r.start.UnixNano()), func() {
+		if err := r.deliver(pass, pending); err != nil {
 			// A failed write ends the recording: stop taking wakes and
 			// detach now, so the session stops queueing for it.
 			r.err = err
-			r.task.Close()
+			r.stop()
 			r.detach()
-			return
 		}
-		if wait > 0 {
-			r.paced.Reset(wait)
-		}
-	})
-	push = newPusher(h.opts.FlushInterval, func() { r.task.Wake() })
-	r.paced = unbookedTimer(push.wake)
+	}, func() { r.task.Wake() })
 	h.mu.Lock()
 	r.cl = h.core.AttachClient(0, 0) // full session geometry
-	r.cl.Buf.SetOnQueued(push.request)
+	r.cl.Buf.SetOnQueued(r.push.request)
 	h.mu.Unlock()
-	push.request() // the attach queued the initial screen before the hook existed
+	r.push.request() // the attach queued the initial screen before the hook existed
 	return r
 }
 
+// detach runs once the task has stopped, so its wakes count is final.
 func (r *Recorder) detach() {
 	r.host.mu.Lock()
 	r.host.core.DetachClient(r.cl)
+	r.host.retiredWakes += r.wakes()
 	r.host.mu.Unlock()
 	r.detached = true
 }
@@ -110,11 +98,7 @@ func (r *Recorder) write(m wire.Message) error {
 // Close stops the recording and returns any write error encountered.
 func (r *Recorder) Close() error {
 	r.close.Do(func() {
-		r.task.CloseWait()
-		r.paced.Stop()
-		if r.pool != nil {
-			r.host.stopPool(r.pool)
-		}
+		r.release()
 		if !r.detached {
 			r.detach()
 		}

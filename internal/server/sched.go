@@ -18,21 +18,19 @@ import (
 // its timers wakes it, and the pump then runs one pass over everything
 // due. An idle session runs no delivery pass and books no
 // pacing timer: a one-shot runtime timer is booked only for a pass the
-// pacing rule (pace.go) holds back, and the heartbeat and audit timers
-// are one-shots the pump re-books after the pass each triggered.
+// pacing rule (pace.go) holds back, and the heartbeat and audit passes
+// are beats (beat.go) the pump books again after the pass each
+// triggered.
 //
-// Where the pump runs is fixed by how the host was built. A Fleet host
-// shares the fleet's worker pool, so ten thousand sessions cost a
-// handful of goroutines. A plain NewHost gives each connection its own
-// one-worker pool: a socket peer that stops draining then blocks only
-// its own worker (for up to WriteTimeout), never a sibling's delivery.
+// Where the pump runs is fixed by how the host was built (delivery). A
+// Fleet host shares the fleet's worker pool and beats clock, so ten
+// thousand sessions cost a handful of goroutines. A plain NewHost
+// gives each connection its own one-worker pool: a socket peer that
+// stops draining then blocks only its own worker (for up to
+// WriteTimeout), never a sibling's delivery.
 type schedConn struct {
-	task *shard.Task
+	delivery
 	sess *session
-	// pool is the connection's private one-worker pool on a plain host,
-	// started at attach and stopped after teardown; nil on a Fleet host.
-	pool *shard.Pool
-
 	// batch plus its bound queue/flush pair; owned by the pump (the
 	// sole writer), released by finishSched.
 	batch *wire.Batch
@@ -43,17 +41,12 @@ type schedConn struct {
 	pass    func(paced bool) (wrote, more bool, err error)
 	pending func() bool
 
-	// One-shot runtime timers: the next heartbeat and audit pass (the
-	// audit one unused when disabled), and the pass the pacing rule
-	// holds back. Each callback only sets its due flag and wakes the
-	// task, so a timer never runs connection work itself.
-	hbTimer, auditTimer, paced *time.Timer
-
-	// due flags, set by the timer callbacks (flushDue by the pusher's
-	// wake, see wakeFlush) and consumed by the pump.
-	hbDue    atomic.Bool
-	auditDue atomic.Bool
-	flushDue atomic.Bool
+	// The next heartbeat and audit pass (the audit one unused when
+	// disabled). A beat only sets its due flag and wakes the task, so
+	// a timer never runs connection work itself; flushDue is the same
+	// flag for the pusher's wake (wakeFlush).
+	hb, audit beat
+	flushDue  atomic.Bool
 
 	// lastIn is the unix-nano time of the last inbound message; the
 	// heartbeat pass reaps an event-driven peer silent past the
@@ -80,14 +73,79 @@ type schedConn struct {
 	event bool
 }
 
+// delivery is what runs one client's delivery passes; every
+// connection and Recorder holds one. Its task runs on a Fleet host's
+// shared pool or, on a plain host, on a one-worker pool of its own, so
+// no two peers share a worker. The pusher paces the task's passes
+// (pace.go) and paced wakes the pass the pacing rule held back.
+type delivery struct {
+	pool  *shard.Pool // the private pool; nil on a Fleet host
+	task  *shard.Task
+	push  *pusher
+	paced *time.Timer
+}
+
+// open builds the task, which runs run and is pinned by key, and the
+// pusher, whose requests call wake.
+func (d *delivery) open(h *Host, key uint64, run, wake func()) {
+	pool := h.pool
+	if pool == nil {
+		d.pool = shard.NewPool(1)
+		d.pool.OnWait, d.pool.OnRun = h.met.taskWait.Observe, h.met.taskRun.Observe
+		d.pool.Start()
+		pool = d.pool
+	}
+	d.task = pool.Task(key, run)
+	d.push = newPusher(h.opts.FlushInterval, wake)
+	// Created stopped, so Reset books it with no channel to drain.
+	d.paced = time.AfterFunc(time.Hour, wake)
+	d.paced.Stop()
+}
+
+// deliver runs the passes due now and books the paced timer for the
+// one the pacing rule holds back. Only the task's run calls it.
+func (d *delivery) deliver(pass func(paced bool) (wrote, more bool, err error), pending func() bool) error {
+	wait, err := d.push.deliver(pass, pending)
+	if wait > 0 {
+		d.paced.Reset(wait)
+	}
+	return err
+}
+
+// stop ends the deliveries from the task's own run: no run starts
+// after it and no held pass stays booked.
+func (d *delivery) stop() {
+	d.task.Close()
+	d.paced.Stop()
+}
+
+// release is stop from off the task's worker: it also waits out a run
+// in flight, then stops the private pool.
+func (d *delivery) release() {
+	d.task.CloseWait()
+	d.paced.Stop()
+	if d.pool != nil {
+		d.pool.Stop()
+	}
+}
+
+// wakes reports the task wakes its private pool has taken, for the
+// host's wakes counter; 0 on a Fleet host, whose pool counts its own.
+func (d *delivery) wakes() int64 {
+	if d.pool == nil {
+		return 0
+	}
+	return d.pool.Stats().Wakes
+}
+
 // errSessionClosed tears down an EventSession on explicit Close.
 var errSessionClosed = errors.New("server: event session closed")
 
-// initSched builds the connection's task and timers. On a Fleet host
+// initSched builds the connection's delivery and beats. On a Fleet host
 // the task is pinned to the shard the session ticket hashes to, so a
 // reattached session lands on the same worker and its state never
-// migrates mid-flight. The timers are created unbooked; startSched
-// books the periodic ones once the connection is fully set up.
+// migrates mid-flight. The beats start unbooked; startSched books them
+// once the connection is fully set up.
 func (c *serverConn) initSched(sess *session, event bool) {
 	s := &c.sched
 	s.sess = sess
@@ -98,26 +156,16 @@ func (c *serverConn) initSched(sess *session, event bool) {
 	s.done = make(chan struct{})
 	s.finC = make(chan struct{})
 	s.lastIn.Store(time.Now().UnixNano())
-	var pool *shard.Pool
-	pool, s.pool = c.host.taskPool()
-	s.task = pool.Task(shard.Hash(sess.ticket), c.pump)
-	s.hbTimer = unbookedTimer(func() {
-		s.hbDue.Store(true)
-		s.task.Wake()
-	})
-	s.auditTimer = unbookedTimer(func() {
-		s.auditDue.Store(true)
-		s.task.Wake()
-	})
-	s.paced = unbookedTimer(c.wakeFlush)
+	s.open(c.host, shard.Hash(sess.ticket), c.pump, c.wakeFlush)
+	s.hb.task, s.audit.task = s.task, s.task
 }
 
 // startSched books the first heartbeat and audit passes.
 func (c *serverConn) startSched() {
-	s := &c.sched
-	s.hbTimer.Reset(c.host.opts.HeartbeatInterval)
-	if !c.host.opts.DisableAudit {
-		s.auditTimer.Reset(c.host.opts.AuditInterval)
+	s, h := &c.sched, c.host
+	h.beats.book(&s.hb, h.opts.HeartbeatInterval)
+	if !h.opts.DisableAudit {
+		h.beats.book(&s.audit, h.opts.AuditInterval)
 	}
 }
 
@@ -132,17 +180,8 @@ func (c *serverConn) pump() {
 		return
 	default:
 	}
-	err := c.guard("pump", s.done, func(<-chan struct{}) error { return c.pumpOnce() })
-	if err == nil {
-		return
-	}
-	if !s.failed.CompareAndSwap(false, true) {
-		return // a concurrent fail() won; its Wake books the final pass
-	}
-	s.err = err
-	close(s.done)
-	_ = c.nc.Close() // unblock the socket reader, if one exists
-	if !s.task.Wake() {
+	err := c.guard("pump", c.pumpOnce)
+	if err != nil && c.markFailed(err) && !s.task.Wake() {
 		// The pool stopped beneath us and will never run the task
 		// again; we are the in-flight run, so finishing inline is safe.
 		c.finishSched()
@@ -170,13 +209,13 @@ func (c *serverConn) pumpOnce() error {
 			drained = true
 		}
 	}
-	if s.auditDue.Swap(false) {
+	if s.audit.due.Swap(false) {
 		if err := c.auditTick(s.queue, s.flush); err != nil {
 			return err
 		}
-		s.auditTimer.Reset(c.host.opts.AuditInterval)
+		c.host.beats.book(&s.audit, c.host.opts.AuditInterval)
 	}
-	if s.hbDue.Swap(false) {
+	if s.hb.due.Swap(false) {
 		if s.event {
 			// No reader enforces a deadline for an event-driven peer;
 			// the heartbeat pass is its liveness check. A peer is dead
@@ -199,18 +238,10 @@ func (c *serverConn) pumpOnce() error {
 		if err := c.heartbeatTick(s.queue, s.flush); err != nil {
 			return err
 		}
-		s.hbTimer.Reset(c.host.opts.HeartbeatInterval)
+		c.host.beats.book(&s.hb, c.host.opts.HeartbeatInterval)
 	}
 	if s.flushDue.Swap(false) {
-		wait, err := c.push.deliver(s.pass, s.pending)
-		if err != nil {
-			return err
-		}
-		if wait > 0 {
-			// The pacing rule holds the next pass back: the timer
-			// wakes the pump again when it is due.
-			s.paced.Reset(wait)
-		}
+		return s.deliver(s.pass, s.pending)
 	}
 	return nil
 }
@@ -220,24 +251,30 @@ func (c *serverConn) pumpOnce() error {
 // teardown is delegated to a final pump pass so it serializes with any
 // in-flight run on the worker.
 func (c *serverConn) fail(err error) {
+	if c.markFailed(err) && !c.sched.task.Wake() {
+		// The pool will never run the task again (stopped, or the task
+		// is closed); drain any in-flight run, then finish here.
+		c.sched.task.CloseWait()
+		c.finishSched()
+	}
+}
+
+// markFailed records why the connection ends and unblocks its socket
+// reader, if one exists. Only the first caller wins; its Wake books the
+// final pass.
+func (c *serverConn) markFailed(err error) bool {
 	s := &c.sched
 	if !s.failed.CompareAndSwap(false, true) {
-		return
+		return false
 	}
 	s.err = err
 	close(s.done)
 	_ = c.nc.Close()
-	if s.task.Wake() {
-		return
-	}
-	// The pool will never run the task again (stopped, or the task is
-	// closed); drain any in-flight run, then finish here.
-	s.task.CloseWait()
-	c.finishSched()
+	return true
 }
 
 // finishSched is the single teardown tail of a connection: stop the
-// timers, close the task, release the batch, and — for event sessions,
+// delivery and the beats, release the batch, and — for event sessions,
 // which have no serving goroutine — run the Host teardown that run's
 // caller performs for socket conns.
 func (c *serverConn) finishSched() {
@@ -245,20 +282,19 @@ func (c *serverConn) finishSched() {
 	if !s.finished.CompareAndSwap(false, true) {
 		return
 	}
-	s.hbTimer.Stop()
-	s.auditTimer.Stop()
-	s.paced.Stop()
-	s.task.Close()
+	c.host.beats.stop(&s.hb)
+	c.host.beats.stop(&s.audit)
+	s.stop()
 	s.batch.Release()
 	if s.event {
 		h := c.host
 		h.finishConn(c, s.sess, s.err)
 		if s.pool != nil {
 			// This may be the pool's own worker, which cannot wait for
-			// itself to exit; the host's wait group covers the stop.
+			// itself to exit; the host's wait group covers the release.
 			go func() {
 				defer h.wg.Done()
-				h.stopPool(s.pool)
+				s.release()
 			}()
 		} else {
 			h.wg.Done()
@@ -273,14 +309,12 @@ func (c *serverConn) finishSched() {
 // and the connection's private pool, if any, has stopped.
 func (c *serverConn) run() error {
 	s := &c.sched
-	err := c.guard("read", s.done, c.readLoop)
+	err := c.guard("read", c.readLoop)
 	if err != nil {
 		c.fail(err)
 	}
 	<-s.finC
-	if s.pool != nil {
-		c.host.stopPool(s.pool)
-	}
+	s.release()
 	if s.err != nil {
 		return s.err
 	}
@@ -291,7 +325,7 @@ func (c *serverConn) run() error {
 // exists, and inbound messages are injected pre-decoded via Deliver.
 // This is the substrate the 10k-session load harness runs on — on a
 // Fleet host an idle event session costs zero goroutines and one
-// booked heartbeat timer.
+// heartbeat beat.
 type EventSession struct {
 	sc *serverConn
 }
@@ -322,7 +356,7 @@ func (es *EventSession) Deliver(m wire.Message) error {
 		return errSessionClosed
 	default:
 	}
-	err := sc.guard("dispatch", s.done, func(<-chan struct{}) error { return sc.dispatch(m) })
+	err := sc.guard("dispatch", func() error { return sc.dispatch(m) })
 	if err != nil {
 		sc.fail(err)
 	}
@@ -349,45 +383,15 @@ func (es *EventSession) Close() {
 	<-es.sc.sched.finC
 }
 
-// taskPool returns the pool a new connection or recorder runs on: a
-// Fleet host's shared pool, or on a plain host a private one-worker
-// pool, hooked to the host's task histograms and returned as own too,
-// for the caller to stop with stopPool.
-func (h *Host) taskPool() (pool, own *shard.Pool) {
-	if h.pool != nil {
-		return h.pool, nil
-	}
-	p := shard.NewPool(1)
-	p.OnWait, p.OnRun = h.met.taskWait.Observe, h.met.taskRun.Observe
-	p.Start()
-	h.mu.Lock()
-	h.ownPools[p] = struct{}{}
-	h.mu.Unlock()
-	return p, p
-}
-
-// stopPool stops a private pool from taskPool and folds its final counts into
-// the host's retired totals. It must not run on p's own worker.
-func (h *Host) stopPool(p *shard.Pool) {
-	p.Stop()
-	st := p.Stats()
+// poolWakes sums the task wakes of a plain host's private pools: the
+// live connections' plus, in retiredWakes, those of closed connections
+// and recorders. A live recorder's wakes join when it closes.
+func (h *Host) poolWakes() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	delete(h.ownPools, p)
-	h.retiredPools.Wakes += st.Wakes
-	h.retiredPools.Runs += st.Runs
-}
-
-// poolStats sums the wakes and runs of every private pool the host has
-// started, live or stopped, for the thinc_shard_task_* counters.
-func (h *Host) poolStats() shard.PoolStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.retiredPools
-	for p := range h.ownPools {
-		ps := p.Stats()
-		st.Wakes += ps.Wakes
-		st.Runs += ps.Runs
+	n := h.retiredWakes
+	for sc := range h.conns {
+		n += sc.sched.wakes()
 	}
-	return st
+	return n
 }

@@ -289,46 +289,44 @@ type Host struct {
 	resync *resyncGate
 
 	// pool is a Fleet's shared worker pool; nil on a plain host, whose
-	// connections and recorders each run on a private pool (taskPool).
-	// ownPools holds the live private pools and retiredPools the wakes
-	// and runs of stopped ones (guarded by mu), so the host's
-	// thinc_shard_task_* counters cover every pool it ever ran.
+	// connections and recorders each run on a private pool (delivery).
+	// retiredWakes (guarded by mu) sums the wakes of closed clients'
+	// private pools, so the host's wakes counter stays monotonic.
 	pool         *shard.Pool
-	ownPools     map[*shard.Pool]struct{}
-	retiredPools shard.PoolStats
+	retiredWakes int64
+	// beats books the heartbeat and audit passes; a Fleet's hosts
+	// share one.
+	beats *beats
 
 	met *hostMetrics
 }
 
 // NewHost creates a session of the given geometry gated by auth.
 func NewHost(w, h int, gate *auth.Authenticator, opts Options) *Host {
-	return newHostWith(w, h, gate, opts, nil, nil)
+	return newHostWith(w, h, gate, opts, nil)
 }
 
-// newHostWith is NewHost on an optionally shared substrate: a Fleet
-// passes one hostMetrics for all its hosts (per-host gauges and
-// per-conn series are skipped there — label cardinality) and its
-// worker pool; nil, nil builds a private bundle and runs every
+// newHostWith is NewHost on an optionally shared substrate: a Fleet's
+// hosts share its hostMetrics (per-host gauges and per-conn series are
+// skipped there — label cardinality), worker pool and beats clock; a
+// nil fleet builds a private bundle and clock and runs every
 // connection on a pool of its own.
-func newHostWith(w, h int, gate *auth.Authenticator, opts Options, met *hostMetrics, pool *shard.Pool) *Host {
+func newHostWith(w, h int, gate *auth.Authenticator, opts Options, f *Fleet) *Host {
 	h2 := &Host{
 		opts:     opts.withDefaults(),
 		gate:     gate,
 		sound:    audio.NewDriver(),
 		conns:    make(map[*serverConn]struct{}),
 		sessions: shard.NewRegistry(8),
-		pool:     pool,
-		ownPools: make(map[*shard.Pool]struct{}),
 	}
 	h2.resync = newResyncGate(h2.opts.ResyncAdmit, h2.opts.ResyncRetryAfter,
 		time.Now().UnixNano())
-	if met == nil {
-		met = defaultHostMetrics()
-		h2.met = met
-		met.registerHostGauges(h2)
-		met.registerPoolMetrics(h2.poolStats)
+	if f != nil {
+		h2.met, h2.pool, h2.beats = f.met, f.sched.Pool(), f.beats
 	} else {
-		h2.met = met
+		h2.met, h2.beats = defaultHostMetrics(), newBeats()
+		h2.met.registerHostGauges(h2)
+		h2.met.registerPoolMetrics(h2.poolWakes)
 	}
 	coreOpts := opts.Core
 	if coreOpts.Metrics == nil {
@@ -799,7 +797,6 @@ func (h *Host) attachConn(nc net.Conn, hr *hsResult, event bool) *serverConn {
 		pongs:   make(chan *wire.Pong, 8),
 		replies: make(chan *wire.AuditReply, 4),
 		acks:    make(chan *wire.MarkAck, 8), noticeRung: -1}
-	sc.push = newPusher(h.opts.FlushInterval, sc.wakeFlush)
 	if hr.gated {
 		sc.gateHeld.Store(true)
 	}
@@ -829,12 +826,12 @@ func (h *Host) attachConn(nc net.Conn, hr *hsResult, event bool) *serverConn {
 	label := fmt.Sprintf("%s#%d", hr.user, h.connSeq)
 	// The damage wake: any command queued for this client requests a
 	// delivery pass. Set under h.mu like every Buf access.
-	sc.cl.Buf.SetOnQueued(sc.push.request)
+	sc.cl.Buf.SetOnQueued(sc.sched.push.request)
 	h.mu.Unlock()
 	h.met.registerConn(h, label, sc)
 	sc.startSched()
 	// The attach/reattach resync was queued before the hook existed.
-	sc.push.request()
+	sc.sched.push.request()
 	return sc
 }
 
@@ -848,6 +845,7 @@ func (h *Host) finishConn(sc *serverConn, sess *session, err error) {
 	}
 	h.mu.Lock()
 	delete(h.conns, sc)
+	h.retiredWakes += sc.sched.wakes() // final: the task is closed
 	sc.cl.Buf.SetOnQueued(nil)
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
@@ -928,11 +926,8 @@ type serverConn struct {
 	// pump, which owns the encoder, emits the notice.
 	noticeRung int32
 
-	// push paces delivery (see pace.go): the damage hook and out-of-band
-	// nudges request a pass, the pump runs it. wrote counts the bytes the
-	// pump has committed, so a pass can tell whether it delivered
-	// anything.
-	push  *pusher
+	// wrote counts the bytes the pump has committed, so a delivery pass
+	// can tell whether it delivered anything.
 	wrote int64
 
 	// pingSeq numbers outgoing heartbeats; owned by the pump, which is
@@ -942,7 +937,9 @@ type serverConn struct {
 	// detachAudio unhooks the session's audio tap at teardown.
 	detachAudio func()
 
-	// sched is the pump's state (sched.go).
+	// sched is the pump's state (sched.go), its delivery's pusher the
+	// pacing (pace.go): the damage hook and out-of-band nudges request
+	// a pass, the pump runs it.
 	sched schedConn
 
 	unknownLogged map[wire.Type]bool
@@ -961,7 +958,7 @@ func (c *serverConn) forceRung(rung int) {
 	c.estMu.Unlock()
 	// No damage comes with a rung change, so ask for the pass that
 	// emits the parked notice.
-	c.push.request()
+	c.sched.push.request()
 }
 
 // wakeFlush is the pusher's wake: it asks the pump for a delivery pass,
@@ -1002,11 +999,11 @@ func (c *serverConn) flushPending() bool {
 	return c.cl.Buf.Len() > 0
 }
 
-// guard is the per-goroutine watchdog: it converts a panic in loop
+// guard is the connection's watchdog: it converts a panic in loop
 // into a normal connection error. Critical sections that take the Host
 // lock use defer-unlock closures, so the lock is released while the
 // panic unwinds and the rest of the host keeps running.
-func (c *serverConn) guard(name string, done <-chan struct{}, loop func(<-chan struct{}) error) (err error) {
+func (c *serverConn) guard(name string, loop func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			atomic.AddInt64(&c.watchdogs, 1)
@@ -1019,14 +1016,14 @@ func (c *serverConn) guard(name string, done <-chan struct{}, loop func(<-chan s
 			err = fmt.Errorf("server: %s loop panic: %v", name, r)
 		}
 	}()
-	return loop(done)
+	return loop()
 }
 
 // readLoop handles client-to-server messages. Every read carries the
 // heartbeat deadline: any message (the client answers our Pings, so an
 // idle healthy client is never silent) proves liveness; a peer silent
 // past the timeout is dead and the deadline error tears the conn down.
-func (c *serverConn) readLoop(done <-chan struct{}) error {
+func (c *serverConn) readLoop() error {
 	for {
 		_ = c.nc.SetReadDeadline(time.Now().Add(c.host.opts.HeartbeatTimeout))
 		m, err := wire.ReadMessage(c.enc)
@@ -1040,7 +1037,7 @@ func (c *serverConn) readLoop(done <-chan struct{}) error {
 			return err
 		}
 		select {
-		case <-done:
+		case <-c.sched.done:
 			return nil
 		default:
 		}

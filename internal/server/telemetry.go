@@ -6,7 +6,6 @@ import (
 	"thinc/internal/compress"
 	"thinc/internal/core"
 	"thinc/internal/overload"
-	"thinc/internal/shard"
 	"thinc/internal/telemetry"
 	"thinc/internal/wire"
 )
@@ -334,20 +333,18 @@ func (m *hostMetrics) registerHostGauges(h *Host) {
 // that run this bundle's connections: queue wait (the fairness
 // headline — a starved session shows up here long before a user
 // notices) and run time (the cost of one pump pass), observed by the
-// pools' hooks, plus wake and run counters read from stats at scrape
-// time. A Fleet registers its shared pool; a plain host registers the
-// sum over its private per-connection pools.
-func (m *hostMetrics) registerPoolMetrics(stats func() shard.PoolStats) {
+// pools' hooks, a runs counter read off the run-time histogram, and a
+// wakes counter read at scrape time — a Fleet's shared pool, or the sum
+// over a plain host's private per-connection pools.
+func (m *hostMetrics) registerPoolMetrics(wakes func() int64) {
 	m.taskWait = m.reg.Histogram("thinc_shard_task_wait_ns",
 		"queue wait from task wake to callback start", telemetry.FineLatencyBucketsNS)
 	m.taskRun = m.reg.Histogram("thinc_shard_task_run_ns",
 		"execution time of one task callback", telemetry.FineLatencyBucketsNS)
 	m.reg.CounterFunc("thinc_shard_task_wakes_total",
-		"task wakes accepted (coalesced wakes count once)",
-		func() int64 { return stats().Wakes })
+		"task wakes accepted (coalesced wakes count once)", wakes)
 	m.reg.CounterFunc("thinc_shard_task_runs_total",
-		"task callback invocations across all shards",
-		func() int64 { return stats().Runs })
+		"task callback invocations across all shards", m.taskRun.Count)
 }
 
 // registerConn publishes one connection's per-client series: the

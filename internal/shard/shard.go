@@ -12,10 +12,9 @@ package shard
 
 // Options configures a Scheduler.
 type Options struct {
-	// Shards is the number of run-queue workers. 0 means DefaultShards.
+	// Shards is the number of run-queue workers, and of registry
+	// shards. 0 means DefaultShards.
 	Shards int
-	// RegistryShards is the number of registry shards. 0 means Shards.
-	RegistryShards int
 
 	// OnTaskWait and OnTaskRun, when set, observe each task run's queue
 	// wait and execution time in nanoseconds (telemetry hooks). They
@@ -42,12 +41,9 @@ func NewScheduler(o Options) *Scheduler {
 	if o.Shards <= 0 {
 		o.Shards = DefaultShards
 	}
-	if o.RegistryShards <= 0 {
-		o.RegistryShards = o.Shards
-	}
 	s := &Scheduler{
 		pool: NewPool(o.Shards),
-		reg:  NewRegistry(o.RegistryShards),
+		reg:  NewRegistry(o.Shards),
 	}
 	s.pool.OnWait = o.OnTaskWait
 	s.pool.OnRun = o.OnTaskRun
