@@ -7,8 +7,10 @@ all: check
 build:
 	$(GO) build ./...
 
+# go vet, plus a formatting gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -102,10 +104,10 @@ bench-load-smoke:
 
 # Fuzz smoke: ~30s of coverage-guided fuzzing per wire decoder target,
 # on top of the committed seed corpus (which always runs as part of
-# `make test`). The trailing-extension decode pattern makes truncation
-# the protocol's load-bearing edge case — a truncated v7 hello must
-# decode as a v6/v5/... hello, never as a warm-cache claim — so the
-# decoders get continuous adversarial input, not just the frozen seeds.
+# `make test`). Every payload has a fixed layout, so a truncated or
+# over-long message must error and an accepted hello must re-marshal to
+# exactly the bytes it was read from; the decoders get continuous
+# adversarial input, not just the frozen seeds.
 # FuzzFillBitmap checks the byte-wise stipple kernel every BITMAP is
 # painted with against the per-pixel oracle it replaced, and
 # FuzzOverlayYV12 does the same for the video overlay kernel.

@@ -32,8 +32,6 @@ func main() {
 	click := flag.Bool("click", false, "send a test mouse click after connecting")
 	reconnect := flag.Bool("reconnect", false, "auto-reconnect with backoff and resume the session by ticket")
 	viewer := flag.Bool("viewer", false, "attach read-only to the session broadcast (input is discarded)")
-	noAudit := flag.Bool("no-audit", false, "ignore integrity-audit probes (emulates a pre-v4 peer)")
-	noE2E := flag.Bool("no-e2e", false, "ignore end-to-end TimeMarks (emulates a pre-v5 peer)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
 	if err := logx.Setup(*logFormat, nil); err != nil {
@@ -51,12 +49,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer conn.Close()
-	if *noAudit {
-		conn.SetAuditDisabled(true)
-	}
-	if *noE2E {
-		conn.SetE2EDisabled(true)
-	}
 	lg.Info("connected", "user", *user,
 		"session_w", conn.ServerW, "session_h", conn.ServerH,
 		"view_w", conn.Snapshot().W(), "view_h", conn.Snapshot().H())

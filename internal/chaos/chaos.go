@@ -79,12 +79,10 @@ type Result struct {
 	BudgetEvictions    int64
 
 	// E2E mark/ack health under chaos: marks must flow whenever display
-	// traffic does, and every mark ends either acked or (after transport
-	// mayhem ate consecutive marks) in the conservative legacy verdict —
-	// never in a silently dead measurement loop.
-	E2EMarks       int
-	E2EAcks        int
-	E2ELegacyPeers int
+	// traffic does, and acks must come back — never a silently dead
+	// measurement loop.
+	E2EMarks int
+	E2EAcks  int
 
 	// ViewerMismatches holds each viewer's first differing pixel index
 	// after release (-1 when byte-identical); ViewerMaxRungs the highest
@@ -94,12 +92,11 @@ type Result struct {
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("%s seed=%d converged=%v maxRung=%d viewers=%d viewerMismatches=%v reconnects=%d reattaches=%d ups=%d downs=%d resyncs=%d evictions=%d marks=%d acks=%d legacy=%d",
+	return fmt.Sprintf("%s seed=%d converged=%v maxRung=%d viewers=%d viewerMismatches=%v reconnects=%d reattaches=%d ups=%d downs=%d resyncs=%d evictions=%d marks=%d acks=%d",
 		r.Schedule.Name, r.Schedule.Seed, r.Converged, r.MaxRungSeen,
 		r.Schedule.Viewers, r.ViewerMismatches,
 		r.Reconnects, r.Reattaches, r.OverloadUps, r.OverloadDowns,
-		r.OverloadResyncs, r.BudgetEvictions, r.E2EMarks, r.E2EAcks,
-		r.E2ELegacyPeers)
+		r.OverloadResyncs, r.BudgetEvictions, r.E2EMarks, r.E2EAcks)
 }
 
 // Suite returns the standard chaos schedules: the three §8 testbed
@@ -535,7 +532,6 @@ func Run(s Schedule) (Result, error) {
 	res.BudgetEvictions = host.Telemetry().Total("thinc_sched_budget_evicted_total")
 	res.E2EMarks = st.E2EMarks
 	res.E2EAcks = st.E2EAcks
-	res.E2ELegacyPeers = st.E2ELegacyPeers
 	if cs.DegradeRung > res.MaxRungSeen {
 		res.MaxRungSeen = cs.DegradeRung
 	}

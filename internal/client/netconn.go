@@ -88,21 +88,17 @@ type Conn struct {
 	degradeRung    atomic.Int32 // server's ladder rung (last DegradeNotice)
 	degradeNotices atomic.Int64
 
-	// Integrity-audit accounting (wire v4). noAudit simulates a pre-v4
-	// peer: probes are counted but never answered.
+	// Integrity-audit accounting (wire v4).
 	auditProbes  atomic.Int64
 	auditReplies atomic.Int64
-	noAudit      atomic.Bool
 
 	// End-to-end mark accounting (wire v5). applyAccumNS gathers the
 	// decode+apply time spent since the last mark, echoed in the next
 	// MarkAck so the server can separate its wire stage from our paint
-	// stage. noE2E simulates a pre-v5 peer: marks are counted but never
-	// acknowledged.
+	// stage.
 	marksSeen    atomic.Int64
 	markAcksSent atomic.Int64
 	applyAccumNS atomic.Int64
-	noE2E        atomic.Bool
 
 	// Payload cache negotiation (wire v6): the capacity we request on
 	// every hello, the server's last grant, and how many CACHE_MISS
@@ -174,7 +170,7 @@ func Handshake(nc net.Conn, user, secret string, viewW, viewH int) (*Conn, error
 
 // HandshakeRole is Handshake with an explicit session role. It requests
 // the default payload cache capacity; use HandshakeRoleCache to choose
-// (0 requests no cache — behaviorally a pre-v6 peer).
+// (0 requests no cache).
 func HandshakeRole(nc net.Conn, user, secret string, viewW, viewH int, role uint8) (*Conn, error) {
 	return HandshakeRoleCache(nc, user, secret, viewW, viewH, role, DefaultCacheRequestKB)
 }
@@ -242,20 +238,9 @@ func (cn *Conn) DropCache() {
 	cn.cacheEpoch = 0
 }
 
-// SetAuditDisabled makes the connection ignore AuditProbes (while still
-// counting them) — a faithful stand-in for a v2/v3 peer, used by tests
-// and the -no-audit client flag to prove the server leaves legacy
-// clients alone.
-func (cn *Conn) SetAuditDisabled(v bool) { cn.noAudit.Store(v) }
-
-// SetE2EDisabled makes the connection ignore TimeMarks (while still
-// counting them) — a faithful stand-in for a pre-v5 peer, used by tests
-// and the -no-e2e client flag to prove the server stops marking legacy
-// clients.
-func (cn *Conn) SetE2EDisabled(v bool) { cn.noE2E.Store(v) }
-
 // handshake authenticates, switches to the encrypted transport, sends
-// the hello (ClientInit or Reattach), and reads the ServerInit.
+// the hello (ClientInit or Reattach), and reads the ServerInit, which
+// must name ProtoVersion.
 func handshake(nc net.Conn, user, secret string, hello wire.Message) (*cipher.StreamConn, *wire.ServerInit, error) {
 	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
 	m, err := wire.ReadMessage(nc)
@@ -302,6 +287,9 @@ func handshake(nc net.Conn, user, secret string, hello wire.Message) (*cipher.St
 		}
 		return nil, nil, fmt.Errorf("client: expected server init, got %v", m.Type())
 	}
+	if si.Ver != wire.ProtoVersion {
+		return nil, nil, fmt.Errorf("client: server speaks protocol %d, want %d", si.Ver, wire.ProtoVersion)
+	}
 	_ = nc.SetDeadline(time.Time{})
 	return enc, si, nil
 }
@@ -320,8 +308,8 @@ func (cn *Conn) Redial() error {
 	role := cn.role
 	// Claim the warm store only while it is actually intact: the epoch
 	// from the last ticket, zeroed whenever the store has been reset.
-	// Epoch 0 on the wire means "no claim" — exactly what a pre-v7
-	// hello says — so the server can never resume warm against nothing.
+	// Epoch 0 on the wire means "no claim", so the server can never
+	// resume warm against nothing.
 	epoch := uint64(0)
 	if cn.c.CacheEnabled() {
 		epoch = cn.cacheEpoch
@@ -367,9 +355,9 @@ func (cn *Conn) Redial() error {
 	cn.ServerW, cn.ServerH = si.W, si.H
 	// The server's explicit warm/cold verdict (wire v7). Warm: it kept
 	// the model our epoch named, so the store stays as-is and its
-	// holdings are live. Cold (or a pre-v7 server, whose verdict byte
-	// decodes as 0): the server restarted its model, so any holdings we
-	// kept are garbage — discard them along with the spent epoch.
+	// holdings are live. Cold: the server restarted its model, so any
+	// holdings we kept are garbage — discard them along with the spent
+	// epoch.
 	if si.CacheWarm != 0 {
 		cn.c.EnableCache(int(si.CacheKB) * 1024)
 		cn.warmResumes.Add(1)
@@ -436,13 +424,8 @@ func (cn *Conn) Run() error {
 			continue
 		case *wire.AuditProbe:
 			// Integrity audit (v4): digest the requested tile window of
-			// our framebuffer and echo it back. A connection simulating a
-			// pre-v4 peer stays silent, exactly like a client that skips
-			// the unknown message type.
+			// our framebuffer and echo it back.
 			cn.auditProbes.Add(1)
-			if cn.noAudit.Load() {
-				continue
-			}
 			if err := cn.send(cn.auditReply(v)); err != nil {
 				return err
 			}
@@ -452,12 +435,8 @@ func (cn *Conn) Run() error {
 			// End-to-end tracing (v5): everything the mark covers was
 			// applied before it arrived (TCP keeps the batch in order), so
 			// ack now, echoing the decode+apply time spent since the last
-			// mark. A connection simulating a pre-v5 peer stays silent,
-			// exactly like a client that skips the unknown message type.
+			// mark.
 			cn.marksSeen.Add(1)
-			if cn.noE2E.Load() {
-				continue
-			}
 			applyUS := cn.applyAccumNS.Swap(0) / 1000
 			if applyUS > int64(^uint32(0)) {
 				applyUS = int64(^uint32(0))

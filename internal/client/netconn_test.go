@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"thinc/internal/auth"
+	"thinc/internal/cipher"
 	"thinc/internal/client"
 	"thinc/internal/core"
 	"thinc/internal/fb"
@@ -71,6 +72,41 @@ func TestHandshakeRejectsBadSecret(t *testing.T) {
 	h := newHost(t, 64, 48)
 	if _, err := pipeTo(t, h, "u", "nope", 64, 48); err == nil {
 		t.Fatal("bad secret accepted")
+	}
+}
+
+// TestHandshakeRefusesOtherProtoVersion drives the server side of the
+// handshake by hand and answers with a ServerInit naming revision 6:
+// the client must refuse it rather than guess at an older dialect.
+func TestHandshakeRefusesOtherProtoVersion(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	nonce := []byte("nonce-16-bytes!!")
+	go func() {
+		if wire.WriteMessage(a, &wire.AuthChallenge{Nonce: nonce}) != nil {
+			return
+		}
+		if _, err := wire.ReadMessage(a); err != nil {
+			return
+		}
+		if wire.WriteMessage(a, &wire.AuthResult{OK: true}) != nil {
+			return
+		}
+		enc, err := cipher.NewStreamConn(a, auth.SessionKey("p", nonce), true)
+		if err != nil {
+			return
+		}
+		if _, err := wire.ReadMessage(enc); err != nil {
+			return
+		}
+		_ = wire.WriteMessage(enc, &wire.ServerInit{Ver: 6, W: 64, H: 48,
+			Format: pixel.FormatARGB32})
+	}()
+	conn, err := client.Handshake(b, "u", "p", 64, 48)
+	if err == nil {
+		conn.Close()
+		t.Fatal("handshake accepted a ServerInit with Ver 6")
 	}
 }
 
@@ -173,25 +209,6 @@ func TestConnAnswersAuditAndHeals(t *testing.T) {
 	waitFor(t, "self-healing", func() bool {
 		return conn.Snapshot().Checksum() == want
 	})
-}
-
-// TestConnAuditDisabledIgnoresProbes covers the pre-v4 emulation path:
-// with SetAuditDisabled the client counts probes but never replies.
-func TestConnAuditDisabledIgnoresProbes(t *testing.T) {
-	h := auditHost(t, 96, 64)
-	conn, err := pipeTo(t, h, "u", "p", 96, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetAuditDisabled(true)
-	go conn.Run()
-
-	waitFor(t, "probe seen", func() bool { return conn.Stats().AuditProbes > 0 })
-	time.Sleep(20 * time.Millisecond)
-	if st := conn.Stats(); st.AuditReplies != 0 {
-		t.Fatalf("disabled audit answered %d probes", st.AuditReplies)
-	}
 }
 
 func TestConnRunEndsOnClose(t *testing.T) {

@@ -129,21 +129,15 @@ func (s *Server) RepairTiles(c *Client, tiles []int) int {
 
 // AuditState is the per-client audit cursor. It lives on the retained
 // core.Client, so — like the degradation rung — it rides the session
-// across reattach: a legacy verdict or an in-flight escalation is not
-// forgotten when the transport drops.
+// across reattach: the probe sequence and miss count are not forgotten
+// when the transport drops.
 type AuditState struct {
 	// Seq numbers probes on this client; replies echo it.
 	Seq uint32
 	// Cursor is the next tile index of the rotating sampled window.
 	Cursor int
-	// Legacy is set once the peer has proven it will never answer a
-	// probe (a v2/v3 client); the server stops probing it entirely.
-	Legacy bool
 	// Misses counts consecutive probes that timed out unanswered.
 	Misses int
-	// EverReplied records that the peer answered at least once, which
-	// separates "legacy peer" from "live peer under duress".
-	EverReplied bool
 	// Sweeping marks an escalated full sweep in progress; SweepPos is
 	// the next tile to probe and SweepBad accumulates its mismatches.
 	Sweeping bool

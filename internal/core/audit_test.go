@@ -149,11 +149,11 @@ func TestAuditEligibility(t *testing.T) {
 func TestAuditStateRidesReattach(t *testing.T) {
 	h := auditHarness(t)
 	a := h.cl.Audit()
-	a.Legacy = true
+	a.Misses = 3
 	a.Seq = 42
 	h.srv.DetachClient(h.cl)
 	h.srv.ReattachClient(h.cl, 128, 96)
-	if !h.cl.Audit().Legacy || h.cl.Audit().Seq != 42 {
+	if h.cl.Audit().Misses != 3 || h.cl.Audit().Seq != 42 {
 		t.Fatal("audit state did not survive detach/reattach")
 	}
 	a.Sweeping, a.SweepPos, a.SweepBad = true, 5, 3

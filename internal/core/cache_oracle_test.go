@@ -17,7 +17,7 @@ import (
 // repeat-heavy draw sequences under random flush budgets. The cached
 // pair negotiates a deliberately small store so the deterministic LRU
 // evicts mid-sequence; the uncached pair is the ground truth — its
-// stream is the pre-v6 wire. Both must land byte-identical to the
+// stream carries no cache message. Both must land byte-identical to the
 // server screen (and therefore to each other) after every sequence,
 // and the cached stream must never produce a CACHE_MISS: in-order
 // lossless delivery keeps the two LRUs in perfect sync by

@@ -358,8 +358,8 @@ func TestCacheHotPathZeroAlloc(t *testing.T) {
 }
 
 // TestCacheDisabledIsByteIdentical: with no grant the wire stream must
-// not change at all — the default-off guarantee every pre-v6 test and
-// peer relies on.
+// not change at all — the default-off guarantee every uncached test
+// and peer relies on.
 func TestCacheDisabledIsByteIdentical(t *testing.T) {
 	srv, c := newCacheClient(t)
 	c.SetCacheSize(0)

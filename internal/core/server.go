@@ -128,13 +128,9 @@ type Client struct {
 	// retained client across reattach like the degradation rung does.
 	audit AuditState
 
-	// trace is the per-client e2e mark cursor (wire v5); it rides
-	// reattach the same way.
-	trace TraceState
-
 	// cache models the client's content-addressed payload store (wire
-	// v6); nil when caching is disabled or unnegotiated. Like audit and
-	// trace state it rides the retained client across reattach, so a
+	// v6); nil when caching is disabled or unnegotiated. Like the audit
+	// state it rides the retained client across reattach, so a
 	// reconnecting client's warm store keeps hitting.
 	cache *payloadcache.LRU
 

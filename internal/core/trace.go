@@ -47,26 +47,6 @@ func (b *ClientBuffer) SetStamp(epoch uint64, damageNS int64) {
 	b.stampEpoch, b.stampDamageNS = epoch, damageNS
 }
 
-// TraceState is the per-client end-to-end mark cursor. Like the audit
-// state and the degradation rung it lives on the retained core.Client,
-// so a legacy verdict rides the session across reattach instead of
-// being re-probed on every reconnect.
-type TraceState struct {
-	// Epoch numbers the marks sent to this client (trace labels).
-	Sent uint64
-	// Legacy is set once the peer has proven it will never ack a mark
-	// (a pre-v5 client); the server stops marking its batches.
-	Legacy bool
-	// Misses counts consecutive marks that timed out unacknowledged.
-	Misses int
-	// EverAcked records that the peer acked at least once, which
-	// separates "legacy peer" from "live peer under duress".
-	EverAcked bool
-}
-
-// Trace returns the client's e2e mark state (always non-nil).
-func (c *Client) Trace() *TraceState { return &c.trace }
-
 // noteDelivered folds one delivered entry into the running flush trace
 // and observes its damage-to-drain latency (the queue stage of the
 // end-to-end pipeline) with sub-millisecond resolution.

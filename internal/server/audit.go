@@ -24,11 +24,8 @@ import (
 // AuditEscalateTiles mismatches triggers a full sweep of every tile
 // (probed in window-sized chunks); a sweep whose total damage exceeds
 // AuditResyncTiles abandons targeted repair for a full resync. A peer
-// that answers heartbeats but never answers probes is a pre-v4 client:
-// after legacyMissLimit unanswered probes with no reply ever seen it
-// is marked legacy and left alone. A peer that used to answer and then
-// goes silent for resyncMissLimit probes can no longer be verified and
-// is resynced.
+// that leaves resyncMissLimit consecutive probes unanswered can no
+// longer be verified and is resynced; probing then carries on.
 //
 // Probes are only sent when the client is eligible — settled at the
 // lossless rung with an unscaled viewport — and when its command queue
@@ -40,18 +37,13 @@ import (
 // screen never holds video pixels (the client composites them
 // locally), so those tiles legitimately differ.
 
-const (
-	// legacyMissLimit: unanswered probes (with no reply ever) before a
-	// peer is declared pre-v4 and probing stops.
-	legacyMissLimit = 2
-	// resyncMissLimit: unanswered probes from a peer that used to
-	// answer before the server gives up verifying and resyncs.
-	resyncMissLimit = 4
-)
+// resyncMissLimit: consecutive unanswered probes before the server
+// gives up verifying and resyncs.
+const resyncMissLimit = 4
 
 // auditConn is one connection's in-flight probe state. Owned by the
-// pump; the durable cursor (sequence, sweep progress, legacy
-// verdict) lives on the core client so it rides reattach.
+// pump; the durable cursor (sequence, sweep progress, miss count)
+// lives on the core client so it rides reattach.
 type auditConn struct {
 	inflight bool
 	seq      uint32
@@ -73,9 +65,6 @@ type auditConn struct {
 func (c *serverConn) auditTick(queue func(wire.Message) error, flush func() error) error {
 	o := &c.host.opts
 	a := c.cl.Audit()
-	if a.Legacy {
-		return nil
-	}
 	met := c.host.met
 	if c.aud.inflight {
 		if time.Since(c.aud.sentAt) < o.AuditTimeout {
@@ -87,21 +76,9 @@ func (c *serverConn) auditTick(queue func(wire.Message) error, flush func() erro
 		c.host.mu.Lock()
 		c.host.stats.AuditTimeouts++
 		c.host.mu.Unlock()
-		if !a.EverReplied && a.Misses >= legacyMissLimit {
-			// Never answered a probe: a v2/v3 peer. Stop probing it.
-			a.Legacy = true
-			met.auditLegacyPeers.Inc()
-			c.host.mu.Lock()
-			c.host.stats.AuditLegacyPeers++
-			c.host.mu.Unlock()
-			if tr := met.tr; tr.Enabled() {
-				tr.Event("audit.legacy", "user="+c.user)
-			}
-			return nil
-		}
-		if a.EverReplied && a.Misses >= resyncMissLimit {
-			// It spoke v4 and went silent: integrity can no longer be
-			// verified, so resync rather than trust a stale screen.
+		if a.Misses >= resyncMissLimit {
+			// Integrity can no longer be verified, so resync rather
+			// than trust a stale screen.
 			c.auditResync("probe timeouts")
 			a.Misses = 0
 			return nil
@@ -183,7 +160,6 @@ func (c *serverConn) auditTick(queue func(wire.Message) error, flush func() erro
 func (c *serverConn) auditReply(r *wire.AuditReply) {
 	met := c.host.met
 	a := c.cl.Audit()
-	a.EverReplied = true
 	a.Misses = 0
 	met.auditReplies.Inc()
 	c.host.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"thinc/internal/fb"
 	"thinc/internal/geom"
 	"thinc/internal/pixel"
+	"thinc/internal/wire"
 	"thinc/internal/xserver"
 )
 
@@ -127,40 +128,42 @@ func TestAuditEscalatesToSweepAndResync(t *testing.T) {
 	}
 }
 
-func TestAuditLegacyPeerLeftAlone(t *testing.T) {
+// TestAuditSilentPeerResynced: a session that reads everything but
+// never answers a probe cannot be verified, so after resyncMissLimit
+// unanswered probes the server resyncs it — and keeps probing, since
+// silence is never taken as a verdict on the peer.
+func TestAuditSilentPeerResynced(t *testing.T) {
 	opts := auditOptions()
 	opts.AuditTimeout = 20 * time.Millisecond
 	host, addr := startHost(t, 96, 64, opts)
-	conn, err := client.Dial(addr, "owner", "pw", 96, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetAuditDisabled(true) // a faithful v2/v3 peer: probes ignored
-	go conn.Run()
-
-	waitFor(t, "legacy verdict", func() bool {
-		return host.Resilience().AuditLegacyPeers == 1
-	})
-	probesAtVerdict := host.Resilience().AuditProbes
-	time.Sleep(100 * time.Millisecond)
-	rs := host.Resilience()
-	if rs.AuditProbes != probesAtVerdict {
-		t.Errorf("server kept probing a legacy peer: %d -> %d probes",
-			probesAtVerdict, rs.AuditProbes)
-	}
-	if rs.AuditResyncs != 0 {
-		t.Errorf("legacy peer was resynced %d times", rs.AuditResyncs)
-	}
-
-	// The session itself must be unaffected: drawing still converges.
+	nc, enc := rawSession(t, addr, "owner", "pw",
+		&wire.ClientInit{ViewW: 96, ViewH: 64, Name: "silent"})
+	defer nc.Close()
+	go func() {
+		for {
+			m, err := wire.ReadMessage(enc)
+			if err != nil {
+				return
+			}
+			if p, ok := m.(*wire.Ping); ok {
+				if wire.WriteMessage(enc, &wire.Pong{Seq: p.Seq, TimeUS: p.TimeUS}) != nil {
+					return
+				}
+			}
+		}
+	}()
 	paintTestScene(host)
-	want := host.ScreenChecksum()
-	waitFor(t, "legacy peer convergence", func() bool {
-		return conn.Snapshot().Checksum() == want
+
+	waitFor(t, "silent peer resynced", func() bool {
+		return host.Resilience().AuditResyncs >= 1
 	})
-	if st := conn.Stats(); st.AuditReplies != 0 {
-		t.Errorf("legacy peer answered %d probes", st.AuditReplies)
+	probesAtResync := host.Resilience().AuditProbes
+	waitFor(t, "probing resumes", func() bool {
+		return host.Resilience().AuditProbes > probesAtResync
+	})
+	if rs := host.Resilience(); rs.AuditReplies != 0 || rs.AuditTimeouts < resyncMissLimit {
+		t.Errorf("silent peer: %d replies, %d timeouts, want 0 and >= %d",
+			rs.AuditReplies, rs.AuditTimeouts, resyncMissLimit)
 	}
 }
 

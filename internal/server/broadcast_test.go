@@ -233,6 +233,10 @@ func TestViewerRoleSurvivesReattach(t *testing.T) {
 	}
 
 	waitFor(t, "viewer reattach", func() bool { return host.Resilience().Reattaches >= 1 })
+	// The server counts the reattach at its handshake, before the client
+	// has swapped in the new transport; input sent before the client's
+	// own count rises can still hit the faulted connection.
+	waitFor(t, "client reconnected", func() bool { return viewer.Stats().Reconnects >= 1 })
 	waitFor(t, "still a viewer", func() bool { return host.NumViewers() == 1 })
 	if viewer.Role() != wire.RoleViewer {
 		t.Fatalf("role after reattach = %d, want viewer", viewer.Role())

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
 
-	"thinc/internal/auth"
 	"thinc/internal/cipher"
 	"thinc/internal/geom"
 	"thinc/internal/pixel"
@@ -14,66 +12,13 @@ import (
 	"thinc/internal/xserver"
 )
 
-// The wire-v6 version matrix: the payload cache is a negotiated
-// trailing extension, so a peer speaking any earlier protocol revision
-// must never see a cache message — its hello simply ends before the
-// CacheKB field, the server decodes the absent request as 0, and the
-// update stream stays byte-compatible with the revision the peer does
-// speak. Each matrix row hand-frames the hello exactly as that
-// revision encoded it and then watches a repeat-heavy workload for
-// stray cache traffic; the v6 control row proves the same workload
-// does produce CACHE_STORE and CACHE_PAINT once negotiated, so an
-// empty legacy row is evidence, not a vacuous pass.
-
-// legacyClientInit frames a ClientInit payload as revision rev encoded
-// it: v2 ends after the name, v3 through v5 append the role byte, and
-// only v6 carries the CacheKB request.
-func legacyClientInit(rev int, viewW, viewH int, name string) []byte {
-	p := binary.BigEndian.AppendUint16(nil, uint16(viewW))
-	p = binary.BigEndian.AppendUint16(p, uint16(viewH))
-	p = binary.BigEndian.AppendUint16(p, uint16(len(name)))
-	p = append(p, name...)
-	if rev >= 3 {
-		p = append(p, wire.RoleOwner)
-	}
-	buf := []byte{byte(wire.TClientInit)}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
-	return append(buf, p...)
-}
-
-// rawSessionBytes is rawSession for a hand-framed hello: it runs the
-// auth handshake, then writes hello verbatim on the encrypted stream.
-func rawSessionBytes(t *testing.T, addr, user, pass string, hello []byte) (net.Conn, *cipher.StreamConn) {
-	t.Helper()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.ReadMessage(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := m.(*wire.AuthChallenge)
-	if err := wire.WriteMessage(nc, &wire.AuthResponse{
-		User: user, Proof: auth.Proof(pass, ch.Nonce),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err = wire.ReadMessage(nc); err != nil {
-		t.Fatal(err)
-	}
-	if res := m.(*wire.AuthResult); !res.OK {
-		t.Fatalf("auth refused: %s", res.Reason)
-	}
-	enc, err := cipher.NewStreamConn(nc, auth.SessionKey(pass, ch.Nonce), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := enc.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	return nc, enc
-}
+// The payload-cache negotiation matrix: the cache is granted only to a
+// hello that requests it, so a ClientInit with CacheKB 0 must never see
+// a cache message. Each row attaches with its hello and then watches a
+// repeat-heavy workload for cache traffic; the cached rows prove the
+// same workload does produce CACHE_STORE and CACHE_PAINT once
+// negotiated, so an empty zero-request row is evidence, not a vacuous
+// pass.
 
 // drainTypes reads messages until the deadline, returning counts by
 // type. Read errors after the deadline are the normal exit.
@@ -106,47 +51,20 @@ func matrixWorkload(host *Host) {
 	})
 }
 
-// TestCacheVersionMatrix runs the matrix. Every pre-v6 row and the
-// v6-without-request row must see zero cache messages and a ServerInit
-// granting no cache; the v6 control row must see both cache message
-// kinds and the clamped grant.
+// TestCacheVersionMatrix runs the matrix. The zero-request row must see
+// zero cache messages and a ServerInit granting no cache; the cached
+// rows must see both cache message kinds and the clamped grant, with
+// the warm-verdict byte at 0 (the warm path exists only for Reattach).
 func TestCacheVersionMatrix(t *testing.T) {
 	cases := []struct {
 		name      string
-		hello     func() []byte
+		hello     *wire.ClientInit
 		wantGrant uint32
 		wantCache bool
 	}{
-		{"v2-no-role", func() []byte { return legacyClientInit(2, 64, 48, "v2") }, 0, false},
-		{"v3-role", func() []byte { return legacyClientInit(3, 64, 48, "v3") }, 0, false},
-		{"v4-audit", func() []byte { return legacyClientInit(4, 64, 48, "v4") }, 0, false},
-		{"v5-e2e", func() []byte { return legacyClientInit(5, 64, 48, "v5") }, 0, false},
-		{"v6-zero-request", func() []byte {
-			b, err := wire.AppendMessage(nil, &wire.ClientInit{ViewW: 64, ViewH: 48, Name: "v6z"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}, 0, false},
-		{"v6-cached", func() []byte {
-			b, err := wire.AppendMessage(nil, &wire.ClientInit{ViewW: 64, ViewH: 48,
-				Name: "v6c", CacheKB: 4096})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}, 1024, true},
-		// v7 changed no ClientInit field — a fresh attach negotiates
-		// exactly as v6 did, and the new warm-verdict byte reads 0 (the
-		// warm path exists only for Reattach).
-		{"v7-cached", func() []byte {
-			b, err := wire.AppendMessage(nil, &wire.ClientInit{ViewW: 64, ViewH: 48,
-				Name: "v7c", CacheKB: 4096})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}, 1024, true},
+		{"v6-zero-request", &wire.ClientInit{ViewW: 64, ViewH: 48, Name: "v6z"}, 0, false},
+		{"v6-cached", &wire.ClientInit{ViewW: 64, ViewH: 48, Name: "v6c", CacheKB: 4096}, 1024, true},
+		{"v7-cached", &wire.ClientInit{ViewW: 64, ViewH: 48, Name: "v7c", CacheKB: 8192}, 1024, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -156,7 +74,7 @@ func TestCacheVersionMatrix(t *testing.T) {
 			opts.CacheKB = 1024
 			host, addr := startHost(t, 64, 48, opts)
 
-			nc, enc := rawSessionBytes(t, addr, "owner", "pw", tc.hello())
+			nc, enc := rawSession(t, addr, "owner", "pw", tc.hello)
 			defer nc.Close()
 			_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 			m, err := wire.ReadMessage(enc)

@@ -32,22 +32,12 @@ import (
 // min-RTT — the estimator's bufferbloat-free floor — so the wire stage
 // absorbs queueing delay on the forward path, which is exactly the
 // delay a user perceives. Stage sums equal the end-to-end figure by
-// construction.
-//
-// A v4 peer skips TIME_MARK as an unknown-but-well-framed type and
-// never acks: after markLegacyMissLimit marks expire unanswered with
-// no ack ever seen, the peer is marked legacy on the retained core
-// client (riding reattach, like the audit verdict) and the server
-// stops marking its batches.
+// construction. A mark left unacked past MarkTimeout expires and
+// counts as a timeout.
 
-const (
-	// markLegacyMissLimit: expired marks (with no ack ever) before a
-	// peer is declared pre-v5 and marking stops.
-	markLegacyMissLimit = 2
-	// maxInflightMarks bounds the per-connection mark window; when it
-	// is full no new mark is sent until an ack or a timeout frees one.
-	maxInflightMarks = 64
-)
+// maxInflightMarks bounds the per-connection mark window; when it is
+// full no new mark is sent until an ack or a timeout frees one.
+const maxInflightMarks = 64
 
 // markRec is one in-flight mark: the server-clock instants of the
 // pipeline stages behind it.
@@ -59,9 +49,7 @@ type markRec struct {
 	writeNS  int64  // when the batch write completed
 }
 
-// e2eConn is one connection's mark state. Owned by the pump; the
-// durable cursor (legacy verdict, miss count) lives on the core client
-// so it rides reattach.
+// e2eConn is one connection's mark state, owned by the pump.
 type e2eConn struct {
 	inflight   []markRec
 	lastMarkNS int64
@@ -75,14 +63,7 @@ func (c *serverConn) e2eMark(ft core.FlushTrace, drainNS int64) *wire.TimeMark {
 	if o.DisableE2E || ft.Delivered == 0 {
 		return nil
 	}
-	ts := c.cl.Trace()
-	if ts.Legacy {
-		return nil
-	}
 	c.e2eExpire()
-	if ts.Legacy { // the expiry pass may have just reached the verdict
-		return nil
-	}
 	if len(c.e2e.inflight) >= maxInflightMarks {
 		return nil // window full; wait for acks or timeouts
 	}
@@ -90,7 +71,6 @@ func (c *serverConn) e2eMark(ft core.FlushTrace, drainNS int64) *wire.TimeMark {
 		return nil // pacing: at most one mark per MarkInterval
 	}
 	c.e2e.lastMarkNS = drainNS
-	ts.Sent++
 	m := &wire.TimeMark{Epoch: ft.MaxEpoch, TimeUS: uint64(time.Now().UnixMicro())}
 	c.e2e.inflight = append(c.e2e.inflight, markRec{
 		epoch:    m.Epoch,
@@ -112,13 +92,10 @@ func (c *serverConn) e2eArm() {
 	c.e2e.inflight[len(c.e2e.inflight)-1].writeNS = time.Now().UnixNano()
 }
 
-// e2eExpire times out stale marks and walks the legacy verdict —
-// exactly the audit loop's never-answered pattern.
+// e2eExpire times out stale marks.
 func (c *serverConn) e2eExpire() {
 	timeout := int64(c.host.opts.MarkTimeout)
 	now := time.Now().UnixNano()
-	ts := c.cl.Trace()
-	met := c.host.met
 	expired := 0
 	for _, r := range c.e2e.inflight {
 		// writeNS may still be zero if the mark's flush errored mid-way;
@@ -136,30 +113,16 @@ func (c *serverConn) e2eExpire() {
 		return
 	}
 	c.e2e.inflight = c.e2e.inflight[:copy(c.e2e.inflight, c.e2e.inflight[expired:])]
-	ts.Misses += expired
-	met.e2eTimeouts.Add(int64(expired))
+	c.host.met.e2eTimeouts.Add(int64(expired))
 	c.host.mu.Lock()
 	c.host.stats.E2ETimeouts += expired
 	c.host.mu.Unlock()
-	if !ts.EverAcked && ts.Misses >= markLegacyMissLimit {
-		// Never acked a mark: a pre-v5 peer. Stop marking it.
-		ts.Legacy = true
-		c.e2e.inflight = c.e2e.inflight[:0]
-		met.e2eLegacyPeers.Inc()
-		c.host.mu.Lock()
-		c.host.stats.E2ELegacyPeers++
-		c.host.mu.Unlock()
-		if tr := met.tr; tr.Enabled() {
-			tr.SessionEvent(c.user, "e2e.legacy", "peer never acked a mark")
-		}
-	}
 }
 
 // e2eAck closes the loop on one acknowledged mark: compute the stage
 // decomposition and feed the histograms.
 func (c *serverConn) e2eAck(ack *wire.MarkAck) {
 	ackNS := time.Now().UnixNano()
-	ts := c.cl.Trace()
 	met := c.host.met
 	// Find the acked mark; acks arrive in order over TCP, so anything
 	// older in the window was skipped (its flush write failed mid-batch
@@ -174,8 +137,6 @@ func (c *serverConn) e2eAck(ack *wire.MarkAck) {
 	if idx < 0 {
 		return // stale or duplicate ack (reattach race); ignore
 	}
-	ts.EverAcked = true
-	ts.Misses = 0
 	rec := c.e2e.inflight[idx]
 	c.e2e.inflight = c.e2e.inflight[:copy(c.e2e.inflight, c.e2e.inflight[idx+1:])]
 	met.e2eAcks.Inc()

@@ -89,8 +89,8 @@ type Options struct {
 
 	// CacheKB caps the per-client payload cache (wire v6) in kilobytes.
 	// Each handshake grants min(client request, CacheKB); the default 0
-	// disables the cache entirely, keeping the wire byte-identical to a
-	// pre-v6 server unless the deployment opts in.
+	// disables the cache entirely, so no cache message is ever sent
+	// unless the deployment opts in.
 	CacheKB int
 
 	// ResyncAdmit bounds concurrently in-flight cold-reattach resyncs
@@ -131,7 +131,7 @@ type Options struct {
 	// rides the batch; zero means 25ms.
 	MarkInterval time.Duration
 	// MarkTimeout is how long a mark may go unacknowledged before it
-	// counts as a miss (pre-v5 peers never answer); zero means 3s.
+	// counts as a timeout; zero means 3s.
 	MarkTimeout time.Duration
 	// DisableE2E turns end-to-end mark tracing off entirely.
 	DisableE2E bool
@@ -225,12 +225,10 @@ type ResilienceStats struct {
 	AuditSweeps      int // escalations from sampled window to full sweep
 	AuditResyncs     int // escalations from sweep (or misses) to full resync
 	AuditTimeouts    int // probes that went unanswered past the timeout
-	AuditLegacyPeers int // peers that never answered and were left alone
 
-	E2EMarks       int // end-to-end TimeMarks sent (wire v5)
-	E2EAcks        int // MarkAcks received and matched
-	E2ETimeouts    int // marks that expired unacknowledged
-	E2ELegacyPeers int // pre-v5 peers detected by mark silence
+	E2EMarks    int // end-to-end TimeMarks sent (wire v5)
+	E2EAcks     int // MarkAcks received and matched
+	E2ETimeouts int // marks that expired unacknowledged
 
 	CacheGrants      int // handshakes granted a payload cache (wire v6)
 	CacheMissRepairs int // CACHE_MISS desyncs healed by forget-and-repaint
@@ -659,9 +657,8 @@ func (h *Host) handshake(nc net.Conn) (*hsResult, error) {
 		if s != nil {
 			// Warm verdict: the client claims an intact store from this
 			// session's epoch and the regranted capacity matches the
-			// retained model. Anything else — no claim (epoch 0, which is
-			// all a truncated or pre-v7 hello can say), a stale epoch, or
-			// a capacity change — goes cold.
+			// retained model. Anything else — no claim (epoch 0), a stale
+			// epoch, or a capacity change — goes cold.
 			warm := reattach.CacheEpoch != 0 &&
 				reattach.CacheEpoch == s.cacheEpoch &&
 				cacheGrantKB > 0 &&
@@ -802,8 +799,8 @@ func (h *Host) attachConn(nc net.Conn, hr *hsResult, event bool) *serverConn {
 	}
 	sc.initSched(hr.sess, event) // before anything can request a pass
 	// A reattach already queued a full-screen resync, which heals any
-	// divergence an interrupted escalation sweep was chasing; the legacy
-	// verdict and probe sequence ride the session, the sweep does not.
+	// divergence an interrupted escalation sweep was chasing; the probe
+	// sequence and miss count ride the session, the sweep does not.
 	hr.cl.Audit().ResetSweep()
 	if !h.opts.DisableOverload {
 		sc.ctrl = overload.NewController(&sc.est, h.opts.Overload)
@@ -1194,8 +1191,8 @@ func (c *serverConn) heartbeatTick(queue func(wire.Message) error, flush func() 
 	if err := flush(); err != nil {
 		return err
 	}
-	// Age out unanswered marks even when the display is idle, so a
-	// pre-v5 peer reaches its legacy verdict without new damage.
+	// Age out unanswered marks even when the display is idle, so the
+	// timeout count does not wait for new damage.
 	if !c.host.opts.DisableE2E {
 		c.e2eExpire()
 	}

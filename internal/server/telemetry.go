@@ -46,14 +46,14 @@ type hostMetrics struct {
 	auditMismatchedTiles, auditRepairedTiles *telemetry.Counter
 	auditRepairedBytes                       *telemetry.Counter
 	auditSweeps, auditResyncs                *telemetry.Counter
-	auditTimeouts, auditLegacyPeers          *telemetry.Counter
+	auditTimeouts                            *telemetry.Counter
 	auditRTT                                 *telemetry.Histogram
 
 	// End-to-end mark loop (wire v5): mark/ack bookkeeping, the four
 	// pipeline stages with sub-millisecond buckets, and the headline
 	// client-perceived latency broken down by degradation rung.
 	e2eMarks, e2eAcks            *telemetry.Counter
-	e2eTimeouts, e2eLegacyPeers  *telemetry.Counter
+	e2eTimeouts                  *telemetry.Counter
 	e2eStageQueue, e2eStageWrite *telemetry.Histogram
 	e2eStageWire, e2eStageApply  *telemetry.Histogram
 	e2eLatency                   [overload.NumRungs]*telemetry.Histogram
@@ -170,8 +170,6 @@ func newHostMetrics(reg *telemetry.Registry, tr *telemetry.Tracer) *hostMetrics 
 			"full resyncs forced by the audit escalation ladder"),
 		auditTimeouts: reg.Counter("thinc_audit_timeouts_total",
 			"audit probes unanswered past the timeout"),
-		auditLegacyPeers: reg.Counter("thinc_audit_legacy_peers_total",
-			"pre-v4 peers detected by probe silence and left alone"),
 		auditRTT: reg.Histogram("thinc_audit_probe_rtt_us",
 			"round-trip time of answered integrity probes", telemetry.LatencyBucketsUS),
 		e2eMarks: reg.Counter("thinc_e2e_marks_total",
@@ -180,8 +178,6 @@ func newHostMetrics(reg *telemetry.Registry, tr *telemetry.Tracer) *hostMetrics 
 			"MarkAcks received and matched to an in-flight mark"),
 		e2eTimeouts: reg.Counter("thinc_e2e_timeouts_total",
 			"marks that expired unacknowledged"),
-		e2eLegacyPeers: reg.Counter("thinc_e2e_legacy_peers_total",
-			"pre-v5 peers detected by mark silence and left unmarked"),
 		e2eStageQueue: reg.Histogram("thinc_e2e_stage_ns",
 			"per-stage share of acknowledged end-to-end update latency",
 			telemetry.FineLatencyBucketsNS, telemetry.L("stage", "queue")),

@@ -187,7 +187,7 @@ func TestRegistryPropertyVsReference(t *testing.T) {
 	// sometimes present a stale (previous) value on purpose.
 	live := map[string]*int{}  // current value per key, ref-maintained
 	stale := map[string]*int{} // a previously-current value per key
-	sh := NewRegistry(7) // odd shard count: exercises uneven hashing
+	sh := NewRegistry(7)       // odd shard count: exercises uneven hashing
 	ref := newRefRegistry()
 
 	check := func(step int, op string) {

@@ -8,9 +8,8 @@ import "encoding/binary"
 // to digest a window of *its* tiles the same way and answer with an
 // AuditReply. Mismatched tiles are healed with targeted RAW repairs
 // through the normal scheduler — the chaos oracle's byte-identical
-// invariant, moved into the runtime. Both messages are well-framed, so
-// v2/v3 peers skip them; a peer that never replies is marked legacy and
-// left alone (no escalation loop).
+// invariant, moved into the runtime. A peer that stops replying can no
+// longer be verified and is resynced.
 
 // MaxAuditTiles bounds the tile window of one probe or reply. It keeps
 // a reply under 32 KiB and makes hostile Count fields cheap to reject.

@@ -10,16 +10,15 @@ import (
 // the session's true framebuffer geometry and native pixel format. The
 // client may view it at a different size (see Resize and §6). CacheKB
 // is the payload-cache capacity the server granted — min(client
-// request, server cap) — as a trailing v6 extension: absent decodes as
-// 0, cache disabled. Both sides size their LRU to the granted value, so
-// the deterministic-eviction invariant starts from a shared number.
-// CacheWarm (a trailing v7 extension; absent decodes as 0 = cold) is
-// the server's explicit verdict on a warm-resume claim: 1 means the
-// retained cache model was accepted and the client must keep its store
-// byte-for-byte; 0 means the client must reset the store even if it
-// kept one, so the two LRUs never diverge silently.
+// request, server cap), 0 = cache disabled. Both sides size their LRU
+// to the granted value, so the deterministic-eviction invariant starts
+// from a shared number. CacheWarm is the server's explicit verdict on
+// a warm-resume claim: 1 means the retained cache model was accepted
+// and the client must keep its store byte-for-byte; 0 means the client
+// must reset the store even if it kept one, so the two LRUs never
+// diverge silently.
 type ServerInit struct {
-	Ver       uint8 // protocol revision (ProtoVersion); 0 decodes from v1 peers
+	Ver       uint8 // protocol revision (ProtoVersion)
 	W, H      int
 	Format    pixel.Format
 	CacheKB   uint32
@@ -48,12 +47,8 @@ func decodeServerInit(d *decoder) (*ServerInit, error) {
 	m.W = int(d.u16())
 	m.H = int(d.u16())
 	m.Format = pixel.Format(d.u8())
-	if d.remaining() > 0 {
-		m.CacheKB = d.u32()
-	}
-	if d.remaining() > 0 {
-		m.CacheWarm = d.u8()
-	}
+	m.CacheKB = d.u32()
+	m.CacheWarm = d.u8()
 	return m, d.check()
 }
 
@@ -76,12 +71,9 @@ func RoleName(role uint8) string {
 
 // ClientInit is the client's hello: its viewport size (which may be
 // smaller than the session framebuffer — the PDA case), a display
-// name for logging, and the requested session role. The role byte is
-// a backward-compatible trailing extension of the v3 encoding: peers
-// that omit it decode as RoleOwner. CacheKB requests a payload-cache
-// capacity in kilobytes (a trailing v6 extension after the role byte;
-// absent or zero decodes as 0 = no cache), which the server clamps to
-// its own cap and echoes in ServerInit.
+// name for logging, the requested session role, and the requested
+// payload-cache capacity in kilobytes (0 = no cache), which the server
+// clamps to its own cap and echoes in ServerInit.
 type ClientInit struct {
 	ViewW, ViewH int
 	Name         string
@@ -111,12 +103,8 @@ func decodeClientInit(d *decoder) (*ClientInit, error) {
 	m.ViewH = int(d.u16())
 	n := int(d.u16())
 	m.Name = string(d.bytes(n))
-	if d.remaining() > 0 {
-		m.Role = d.u8()
-	}
-	if d.remaining() > 0 {
-		m.CacheKB = d.u32()
-	}
+	m.Role = d.u8()
+	m.CacheKB = d.u32()
 	return m, d.check()
 }
 

@@ -12,9 +12,11 @@ import (
 // FuzzReadMessage drives the framed decoder with arbitrary bytes: it
 // must never panic, and anything it accepts must survive a marshal /
 // re-decode round trip (the decoder and encoder agree on the format).
-// The corpus seeds every message type — display, video, audio, control,
-// auth, and the session-resilience messages — plus truncated and
-// corrupted variants of each.
+// A hello (ClientInit, Reattach, SessionTicket, ServerInit) has a fixed
+// layout, so an accepted one must re-marshal to exactly the frame it
+// was read from. The corpus seeds every message type — display, video,
+// audio, control, auth, and the session-resilience messages — plus
+// truncated and corrupted variants of each.
 func FuzzReadMessage(f *testing.F) {
 	for _, m := range sampleMessages() {
 		buf, err := Marshal(m)
@@ -35,26 +37,22 @@ func FuzzReadMessage(f *testing.F) {
 		bad2[0] ^= 0x07
 		f.Add(bad2)
 	}
-	// Trailing-extension seeds: every documented legacy prefix of the
-	// handshake messages, reframed with a consistent header, plus every
-	// cut strictly inside a trailing extension (a partial CacheEpoch or
-	// CacheWarm must error, never decode as a zero-valued claim).
+	// Tail-cut and over-long seeds: every control message reframed
+	// with its last few bytes cut off, and with one byte too many, so a
+	// short or padded hello enters the decoder as a well-formed frame
+	// (and must error, never decode with a zeroed or ignored field).
 	for _, m := range controlMessages() {
 		buf, err := Marshal(m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		payload := buf[HeaderSize:]
-		for cut := range legacyCuts(m, len(payload)) {
-			if cut >= 0 {
-				f.Add(reframe(m.Type(), payload[:cut]))
-			}
-		}
 		for cut := len(payload) - 7; cut < len(payload); cut++ {
 			if cut > 0 {
 				f.Add(reframe(m.Type(), payload[:cut]))
 			}
 		}
+		f.Add(reframe(m.Type(), append(payload[:len(payload):len(payload)], 0)))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0, 0, 0, 0})
@@ -73,6 +71,13 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		if m2.Type() != m.Type() {
 			t.Fatalf("type changed across round trip: %v -> %v", m.Type(), m2.Type())
+		}
+		switch m.(type) {
+		case *ClientInit, *Reattach, *SessionTicket, *ServerInit:
+			if len(data) < len(out) || !bytes.Equal(data[:len(out)], out) {
+				t.Fatalf("%v: accepted hello re-marshals to different bytes:\n got %x\nread %x",
+					m.Type(), out, data)
+			}
 		}
 	})
 }
@@ -94,30 +99,6 @@ func controlMessages() []Message {
 	return ctl
 }
 
-// legacyCuts returns the payload lengths (cut points) of m's documented
-// backward-compatible legacy encodings: prefixes that omit one or more
-// trailing extensions and are themselves valid older encodings, so the
-// truncation sweep must accept them decoding cleanly. The extensions
-// stack — ClientInit ends in Role (v3) then CacheKB (v6); Reattach adds
-// CacheEpoch (v7) after those, so the pre-role, role-only and
-// role+CacheKB prefixes are all legal; ServerInit gained CacheKB in v6
-// and CacheWarm in v7; SessionTicket ends in Role (v3) then CacheEpoch
-// (v7). Any cut strictly inside an extension field must still error —
-// a partial epoch can never quietly decode as epoch 0.
-func legacyCuts(m Message, payloadLen int) map[int]bool {
-	switch m.(type) {
-	case *ClientInit:
-		return map[int]bool{payloadLen - 5: true, payloadLen - 4: true}
-	case *Reattach:
-		return map[int]bool{payloadLen - 13: true, payloadLen - 12: true, payloadLen - 8: true}
-	case *ServerInit:
-		return map[int]bool{payloadLen - 5: true, payloadLen - 1: true}
-	case *SessionTicket:
-		return map[int]bool{payloadLen - 9: true, payloadLen - 8: true}
-	}
-	return nil
-}
-
 // reframe frames a (possibly shortened) payload with a fresh header so
 // truncated-extension variants enter the decoder as well-formed frames.
 func reframe(t Type, payload []byte) []byte {
@@ -129,55 +110,11 @@ func reframe(t Type, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// TestLegacyHelloNeverClaimsWarm pins the v7 safety property directly:
-// every legal legacy prefix of Reattach and SessionTicket decodes with
-// CacheEpoch 0 (no warm claim — server epochs start at 1), and every
-// cut strictly inside the trailing CacheEpoch errors rather than
-// decoding as a zero or partial epoch.
-func TestLegacyHelloNeverClaimsWarm(t *testing.T) {
-	msgs := []Message{
-		&Reattach{Ticket: []byte("tkt"), ViewW: 64, ViewH: 48, Name: "n",
-			Role: RoleViewer, CacheKB: 4096, CacheEpoch: 7},
-		&SessionTicket{Ticket: []byte("tkt"), Role: RoleViewer, CacheEpoch: 7},
-	}
-	for _, m := range msgs {
-		buf, err := Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := buf[HeaderSize:]
-		for cut := range legacyCuts(m, len(payload)) {
-			got, err := Unmarshal(m.Type(), payload[:cut])
-			if err != nil {
-				t.Fatalf("%v: legacy prefix %d/%d must decode: %v", m.Type(), cut, len(payload), err)
-			}
-			var epoch uint64
-			switch g := got.(type) {
-			case *Reattach:
-				epoch = g.CacheEpoch
-			case *SessionTicket:
-				epoch = g.CacheEpoch
-			}
-			if epoch != 0 {
-				t.Errorf("%v: legacy prefix %d/%d decoded CacheEpoch %d, want 0",
-					m.Type(), cut, len(payload), epoch)
-			}
-		}
-		for cut := len(payload) - 7; cut < len(payload); cut++ {
-			if _, err := Unmarshal(m.Type(), payload[:cut]); err == nil {
-				t.Errorf("%v: partial CacheEpoch (%d/%d bytes) decoded without error",
-					m.Type(), cut, len(payload))
-			}
-		}
-	}
-}
-
 // TestControlMessageTruncationSweep cuts every control message at every
 // byte boundary: no truncation may panic the decoder, and every
 // truncation must be reported as an error, never silently accepted as a
-// different valid message of the same type. The only exemptions are the
-// documented legacy prefixes (legacyCuts), whose omission of trailing
-// extensions is an older valid encoding, not an ambiguity.
+// different valid message of the same type. One byte too many is an
+// error as well: every payload has a fixed layout.
 func TestControlMessageTruncationSweep(t *testing.T) {
 	for _, m := range controlMessages() {
 		buf, err := Marshal(m)
@@ -185,22 +122,16 @@ func TestControlMessageTruncationSweep(t *testing.T) {
 			t.Fatalf("%v: marshal: %v", m.Type(), err)
 		}
 		payload := buf[HeaderSize:]
-		legacy := legacyCuts(m, len(payload))
 		for cut := 0; cut < len(payload); cut++ {
-			_, err := Unmarshal(m.Type(), payload[:cut])
-			if legacy[cut] {
-				if err != nil {
-					t.Errorf("%v: legacy prefix (%d/%d bytes) must still decode, got %v",
-						m.Type(), cut, len(payload), err)
-				}
-				continue
-			}
-			if err == nil {
+			if _, err := Unmarshal(m.Type(), payload[:cut]); err == nil {
 				// A shorter prefix that still decodes means the format is
 				// ambiguous under truncation.
 				t.Errorf("%v: payload truncated to %d/%d bytes decoded without error",
 					m.Type(), cut, len(payload))
 			}
+		}
+		if _, err := Unmarshal(m.Type(), append(payload, 0)); err == nil {
+			t.Errorf("%v: payload with a trailing byte decoded without error", m.Type())
 		}
 	}
 }

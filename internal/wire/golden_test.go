@@ -223,58 +223,3 @@ func TestGoldenVectorsCoverAllTypes(t *testing.T) {
 		}
 	}
 }
-
-// TestGoldenLegacyAttachDecodes freezes the legacy attach encodings:
-// the pre-role v1/v2 prefix (no Role byte), the v3–v5 prefix (Role but
-// no CacheKB), the v6 prefix (CacheKB but no CacheEpoch/CacheWarm), and
-// the pre-v6 ServerInit (no CacheKB) must all still decode, with the
-// omitted extensions defaulting to owner / cache off / epoch 0 (cold).
-func TestGoldenLegacyAttachDecodes(t *testing.T) {
-	legacy := []struct {
-		typ     Type
-		payload []byte
-		want    Message
-	}{
-		{TClientInit,
-			append([]byte{0x01, 0x40, 0x00, 0xf0, 0x00, 0x03}, "pda"...),
-			&ClientInit{ViewW: 320, ViewH: 240, Name: "pda", Role: RoleOwner}},
-		{TClientInit,
-			append(append([]byte{0x01, 0x40, 0x00, 0xf0, 0x00, 0x03}, "pda"...), RoleViewer),
-			&ClientInit{ViewW: 320, ViewH: 240, Name: "pda", Role: RoleViewer}},
-		{TSessionTicket,
-			[]byte{0x00, 0x02, 0xab, 0xcd},
-			&SessionTicket{Ticket: []byte{0xab, 0xcd}, Role: RoleOwner}},
-		{TReattach,
-			append([]byte{0x00, 0x02, 0xab, 0xcd, 0x01, 0x40, 0x00, 0xf0, 0x00, 0x03}, "pda"...),
-			&Reattach{Ticket: []byte{0xab, 0xcd}, ViewW: 320, ViewH: 240,
-				Name: "pda", Role: RoleOwner}},
-		{TReattach,
-			append(append([]byte{0x00, 0x02, 0xab, 0xcd, 0x01, 0x40, 0x00, 0xf0, 0x00, 0x03},
-				"pda"...), RoleViewer),
-			&Reattach{Ticket: []byte{0xab, 0xcd}, ViewW: 320, ViewH: 240,
-				Name: "pda", Role: RoleViewer}},
-		{TReattach,
-			append(append(append([]byte{0x00, 0x02, 0xab, 0xcd, 0x01, 0x40, 0x00, 0xf0, 0x00, 0x03},
-				"pda"...), RoleViewer), 0x00, 0x00, 0x20, 0x00),
-			&Reattach{Ticket: []byte{0xab, 0xcd}, ViewW: 320, ViewH: 240,
-				Name: "pda", Role: RoleViewer, CacheKB: 8192}},
-		{TSessionTicket,
-			[]byte{0x00, 0x02, 0xab, 0xcd, 0x01},
-			&SessionTicket{Ticket: []byte{0xab, 0xcd}, Role: RoleViewer}},
-		{TServerInit,
-			[]byte{0x05, 0x04, 0x00, 0x03, 0x00, 0x01},
-			&ServerInit{Ver: 5, W: 1024, H: 768, Format: pixel.Format(1)}},
-		{TServerInit,
-			[]byte{0x06, 0x04, 0x00, 0x03, 0x00, 0x01, 0x00, 0x00, 0x10, 0x00},
-			&ServerInit{Ver: 6, W: 1024, H: 768, Format: pixel.Format(1), CacheKB: 4096}},
-	}
-	for _, tc := range legacy {
-		m, err := Unmarshal(tc.typ, tc.payload)
-		if err != nil {
-			t.Fatalf("%v: legacy payload rejected: %v", tc.typ, err)
-		}
-		if !reflect.DeepEqual(m, tc.want) {
-			t.Errorf("%v: legacy decode mismatch:\n got %#v\nwant %#v", tc.typ, m, tc.want)
-		}
-	}
-}

@@ -11,9 +11,7 @@ import "encoding/binary"
 // client-perceived latency measurement that needs no clock sync: all
 // arithmetic stays on the server clock, with the one-way return leg
 // estimated from the heartbeat min-RTT (bufferbloat-free floor).
-// Both messages are well-framed, so v4 peers skip them; a peer that
-// never acks is marked legacy by silence — exactly the audit-probe
-// pattern — and the server stops marking its batches.
+// An unacked mark expires after the server's MarkTimeout.
 
 // TimeMark asks the client to acknowledge epoch once the batch it
 // arrived in has been applied. TimeUS is the server's send clock in

@@ -7,24 +7,12 @@ import "encoding/binary"
 // whose transport dropped resume its session (the server answers a
 // valid Reattach with a full-screen RAW resync).
 
-// ProtoVersion is the current protocol revision, carried in ServerInit.
-// Version 1 is the original handshake; version 2 adds heartbeats and
-// session reattach; version 3 adds the DegradeNotice quality-state
-// message; version 4 adds the AuditProbe/AuditReply integrity audit;
-// version 5 adds the TimeMark/MarkAck end-to-end tracing pair; version
-// 6 adds the content-addressed payload cache (CacheStore/CachePaint/
-// CacheMiss, negotiated by the CacheKB trailing extension on
-// ClientInit/ServerInit/Reattach); version 7 adds warm cache resume
-// across reattach (the CacheEpoch trailing extension on SessionTicket/
-// Reattach, the CacheWarm byte on ServerInit, and the AttachBusy
-// admission-control answer). Receivers skip well-framed unknown
-// message types, so the version is informational: it lets a client know
-// whether the server will honor Reattach at all, and a v6 server never
-// sends cache messages to a peer whose handshake omitted CacheKB — the
-// field's absence, not the version byte, is the capability signal.
-// Likewise a reattach without CacheEpoch (or with epoch 0) never claims
-// a warm cache: server epochs start at 1, so truncated or legacy hellos
-// always fall back cold.
+// ProtoVersion is the protocol revision, carried in ServerInit. Every
+// hello (ClientInit, Reattach, SessionTicket, ServerInit) has a fixed
+// layout in which every field is mandatory, and a client refuses a
+// ServerInit naming any other revision. Receivers still skip
+// well-framed message types they do not know. A reattach with
+// CacheEpoch 0 never claims a warm cache: server epochs start at 1.
 const ProtoVersion = 7
 
 // MaxTicketLen bounds a session ticket on the wire.
@@ -84,13 +72,11 @@ func decodePong(d *decoder) (*Pong, error) {
 // opaque credential the client stores and presents in a Reattach to
 // resume this session after a transport failure. Each (re)attach
 // issues a fresh ticket; presenting one invalidates it. Role echoes
-// the role the server granted (a trailing v3 extension: older peers
-// omit it and decode as RoleOwner), so a reconnecting viewer resumes
-// as a viewer. CacheEpoch is the payload-cache generation stamp (a
-// trailing v7 extension; absent decodes as 0 = no warm resume): the
-// client echoes it in a later Reattach to prove its in-memory store
-// belongs to the server's retained cache model. Server epochs start at
-// 1, so 0 never matches.
+// the role the server granted, so a reconnecting viewer resumes as a
+// viewer. CacheEpoch is the payload-cache generation stamp: the client
+// echoes it in a later Reattach to prove its in-memory store belongs
+// to the server's retained cache model. Server epochs start at 1, so 0
+// never matches.
 type SessionTicket struct {
 	Ticket     []byte
 	Role       uint8
@@ -119,12 +105,8 @@ func decodeSessionTicket(d *decoder) (*SessionTicket, error) {
 		return m, d.check()
 	}
 	m.Ticket = d.bytes(n)
-	if d.remaining() > 0 {
-		m.Role = d.u8()
-	}
-	if d.remaining() > 0 {
-		m.CacheEpoch = d.u64()
-	}
+	m.Role = d.u8()
+	m.CacheEpoch = d.u64()
 	return m, d.check()
 }
 
@@ -134,15 +116,13 @@ func decodeSessionTicket(d *decoder) (*SessionTicket, error) {
 // A server that cannot honor the ticket (expired, unknown, or still
 // attached) falls back to a fresh attach — either way the client
 // converges via the full-screen RAW resync. Role is the requested
-// session role (a trailing v3 extension; absent decodes as RoleOwner).
-// CacheKB re-requests the payload-cache capacity after Role (a trailing
-// v6 extension; absent decodes as 0 = cache disabled) — the server's
-// model of the client cache rides the detached session, so a reattach
-// granting the same size resumes hitting without re-warming. CacheEpoch
-// (a trailing v7 extension; absent decodes as 0 = no warm claim) echoes
-// the generation stamp from the SessionTicket: nonzero means "my store
-// from that generation is intact", and the server resumes warm only
-// when the epoch and granted capacity both match its retained model.
+// session role. CacheKB re-requests the payload-cache capacity — the
+// server's model of the client cache rides the detached session, so a
+// reattach granting the same size resumes hitting without re-warming.
+// CacheEpoch echoes the generation stamp from the SessionTicket:
+// nonzero means "my store from that generation is intact", and the
+// server resumes warm only when the epoch and granted capacity both
+// match its retained model.
 type Reattach struct {
 	Ticket       []byte
 	ViewW, ViewH int
@@ -183,26 +163,18 @@ func decodeReattach(d *decoder) (*Reattach, error) {
 	m.ViewH = int(d.u16())
 	n = int(d.u16())
 	m.Name = string(d.bytes(n))
-	if d.remaining() > 0 {
-		m.Role = d.u8()
-	}
-	if d.remaining() > 0 {
-		m.CacheKB = d.u32()
-	}
-	if d.remaining() > 0 {
-		m.CacheEpoch = d.u64()
-	}
+	m.Role = d.u8()
+	m.CacheKB = d.u32()
+	m.CacheEpoch = d.u64()
 	return m, d.check()
 }
 
 // AttachBusy answers a handshake the reattach-storm admission gate
-// refused (v7): too many full resyncs are already in flight, so the
+// refused: too many full resyncs are already in flight, so the
 // server declines this attach instead of letting N reconnecting
 // clients saturate the flush path. RetryAfterMS is the jittered delay
 // the client should wait before redialing — honoring it drains a storm
-// in bounded waves. The connection closes after this message; a pre-v7
-// client skips the unknown type, sees EOF, and retries on its normal
-// backoff.
+// in bounded waves. The connection closes after this message.
 type AttachBusy struct {
 	RetryAfterMS uint32
 }
