@@ -24,9 +24,12 @@ check: build vet race
 # the committed floors (coverage_floors.txt). -short skips the
 # seconds-long chaos schedules — they have their own CI job and their
 # wall-clock deadlines are unreliable under atomic instrumentation.
+# The floors are checked on the written profile even when a test
+# fails; the target then exits with the test status.
 cover:
-	$(GO) test -short ./... -coverprofile=coverage.out -covermode=atomic
-	$(GO) run ./cmd/covercheck -profile coverage.out -floors coverage_floors.txt
+	@status=0; \
+	$(GO) test -short ./... -coverprofile=coverage.out -covermode=atomic || status=$$?; \
+	$(GO) run ./cmd/covercheck -profile coverage.out -floors coverage_floors.txt && exit $$status
 
 # Chaos soak: randomized fault schedules PLUS randomized
 # silent-corruption schedules against a live server/client pair under
@@ -56,14 +59,19 @@ bench-snapshot:
 # stays within FlushBudget per FlushInterval, an idle connection runs no
 # pass and holds no timer. The video overlay kernel (a 352x240 frame
 # scaled to 1024x768) runs once, with the test that pins its allocations
-# per call to at most one and 16 KB.
+# per call to at most one and 16 KB. The PNG writer encodes a web-page
+# photo band with the test that pins a steady-state encode into a sized
+# buffer to at most one allocation, and the tile fill paints a page-sized
+# 8x8-pattern background.
 bench-smoke:
 	$(GO) test ./internal/wire/ -run 'ZeroAlloc|TestPayloadSizeMatchesAppend|TestBatch' -count=1
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime=1x -count=1
 	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTranslateFanout|BenchmarkAggregateRun' -benchtime=100x -count=1
 	$(GO) test ./internal/core/ -run 'TestCacheHotPathZeroAlloc|TestAggregateRunAllocatesLinearly' -count=1
 	$(GO) test ./internal/fb/ -run 'TestDigestHotPathZeroAlloc|TestOverlayYV12Allocs' -count=1
-	$(GO) test ./internal/fb/ -run '^$$' -bench 'BenchmarkTileDigest|BenchmarkOverlayYV12' -benchtime=100x -count=1
+	$(GO) test ./internal/fb/ -run '^$$' -bench 'BenchmarkTileDigest|BenchmarkOverlayYV12|BenchmarkFillTile' -benchtime=100x -count=1
+	$(GO) test ./internal/compress/ -run 'TestEncodePNGSteadyStateAllocs' -count=1
+	$(GO) test ./internal/compress/ -run '^$$' -bench 'BenchmarkEncodePNGWebBlock' -benchtime=100x -count=1
 	$(GO) test ./internal/server/ -run 'TestPush' -count=1
 
 # End-to-end latency smoke: a short live sweep (2 workloads x loopback +
@@ -111,6 +119,8 @@ bench-load-smoke:
 # FuzzFillBitmap checks the byte-wise stipple kernel every BITMAP is
 # painted with against the per-pixel oracle it replaced, and
 # FuzzOverlayYV12 does the same for the video overlay kernel.
+# FuzzEncodePNG checks the PNG writer every RAW update is compressed
+# with against image/png, byte for byte.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzVideoFrame -fuzztime 30s
@@ -119,6 +129,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzAuditReply -fuzztime 30s
 	$(GO) test ./internal/fb/ -run '^$$' -fuzz FuzzFillBitmap -fuzztime 30s
 	$(GO) test ./internal/fb/ -run '^$$' -fuzz FuzzOverlayYV12 -fuzztime 30s
+	$(GO) test ./internal/compress/ -run '^$$' -fuzz FuzzEncodePNG -fuzztime 30s
 
 # Regenerate the golden wire vectors under internal/wire/testdata/
 # after a deliberate protocol change: the frozen-vector tests rewrite

@@ -167,26 +167,6 @@ func decodeRLE(data []byte, n int) ([]pixel.ARGB, error) {
 	return pix, nil
 }
 
-func appendPNG(dst []byte, pix []pixel.ARGB, w, h int) ([]byte, error) {
-	raw := GetScratch()
-	raw = grow(raw, w*h*4)
-	for i, p := range pix {
-		raw[i*4+0] = p.R()
-		raw[i*4+1] = p.G()
-		raw[i*4+2] = p.B()
-		raw[i*4+3] = p.A()
-	}
-	img := &image.NRGBA{Pix: raw, Stride: w * 4, Rect: image.Rect(0, 0, w, h)}
-	sw := sliceWriter{b: dst}
-	enc := png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: pngBuffers}
-	err := enc.Encode(&sw, img)
-	PutScratch(raw)
-	if err != nil {
-		return dst, err
-	}
-	return sw.b, nil
-}
-
 func decodePNG(data []byte, w, h int) ([]pixel.ARGB, error) {
 	img, err := png.Decode(bytes.NewReader(data))
 	if err != nil {

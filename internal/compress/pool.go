@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"image/png"
 	"sync"
 	"sync/atomic"
 )
@@ -9,8 +8,8 @@ import (
 // Encoder scratch pooling. RAW codec encodes are the hottest producer
 // of garbage in the delivery pipeline: every damaged region becomes a
 // freshly allocated payload slice. The pools below let the encode path
-// reuse payload buffers, zlib writer state, and PNG encoder buffers
-// across updates.
+// reuse payload buffers, zlib writer state, and PNG row buffers across
+// updates.
 //
 // Ownership rule: a slice from GetScratch is owned by the caller until
 // it is handed back with PutScratch. Payloads that become message data
@@ -80,7 +79,7 @@ func PoolStats() ScratchStats {
 }
 
 // sliceWriter appends everything written to it onto a byte slice —
-// the io.Writer adapter for pooled zlib/PNG encoder state.
+// the io.Writer adapter for pooled zlib encoder state.
 type sliceWriter struct{ b []byte }
 
 func (w *sliceWriter) Write(p []byte) (int, error) {
@@ -91,16 +90,3 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 // zlibWriters recycles zlib.Writer state (the deflate window alone is
 // tens of kilobytes) across encodes via Reset.
 var zlibWriters sync.Pool
-
-// pngBuffers implements png.EncoderBufferPool so repeated PNG encodes
-// reuse the encoder's internal row buffers.
-var pngBuffers png.EncoderBufferPool = &pngBufferPool{}
-
-type pngBufferPool struct{ p sync.Pool }
-
-func (p *pngBufferPool) Get() *png.EncoderBuffer {
-	b, _ := p.p.Get().(*png.EncoderBuffer)
-	return b
-}
-
-func (p *pngBufferPool) Put(b *png.EncoderBuffer) { p.p.Put(b) }

@@ -28,11 +28,18 @@ func New(w, h int) *Framebuffer {
 		panic(fmt.Sprintf("fb.New: negative size %dx%d", w, h))
 	}
 	f := &Framebuffer{w: w, h: h, pix: make([]pixel.ARGB, w*h)}
-	black := pixel.RGB(0, 0, 0)
-	for i := range f.pix {
-		f.pix[i] = black
+	if len(f.pix) > 0 {
+		f.pix[0] = pixel.RGB(0, 0, 0)
+		repeat(f.pix, 1)
 	}
 	return f
+}
+
+// repeat fills s with copies of its first n pixels by doubling copies.
+func repeat(s []pixel.ARGB, n int) {
+	for n < len(s) {
+		n += copy(s[n:], s[:n])
+	}
 }
 
 // W returns the width in pixels.
@@ -104,15 +111,28 @@ func (f *Framebuffer) FillTile(r geom.Rect, t *Tile) {
 // (0,0) pixel lands on surface coordinates congruent to (ax, ay). THINC
 // needs the explicit anchor to preserve pattern alignment when offscreen
 // fills are relocated on screen (§4.1).
+//
+// Each row is built by copies: the tile row from the column phase at
+// the rect's left edge, then whole tile periods doubled across the
+// row. A row t.H rows down repeats the pattern exactly, so from there
+// on every row is one copy of the row t.H above it.
 func (f *Framebuffer) FillTileAnchored(r geom.Rect, t *Tile, ax, ay int) {
 	r = f.clip(r)
+	if r.Empty() {
+		return
+	}
+	tx := (((r.X0 - ax) % t.W) + t.W) % t.W
 	for y := r.Y0; y < r.Y1; y++ {
+		row := f.pix[y*f.w+r.X0 : y*f.w+r.X1]
+		if y-t.H >= r.Y0 {
+			copy(row, f.pix[(y-t.H)*f.w+r.X0:])
+			continue
+		}
 		ty := (((y - ay) % t.H) + t.H) % t.H
 		trow := t.Pix[ty*t.W : (ty+1)*t.W]
-		frow := f.pix[y*f.w : y*f.w+f.w]
-		for x := r.X0; x < r.X1; x++ {
-			frow[x] = trow[(((x-ax)%t.W)+t.W)%t.W]
-		}
+		n := copy(row, trow[tx:])
+		n += copy(row[n:], trow[:tx])
+		repeat(row, n)
 	}
 }
 

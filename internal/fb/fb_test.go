@@ -14,8 +14,13 @@ func TestNewIsOpaqueBlack(t *testing.T) {
 	if f.W() != 4 || f.H() != 3 {
 		t.Fatal("geometry wrong")
 	}
-	if f.At(0, 0) != pixel.RGB(0, 0, 0) {
-		t.Fatal("fresh framebuffer should be opaque black")
+	for _, sz := range [][2]int{{0, 0}, {0, 5}, {1, 1}, {4, 3}, {7, 9}, {1024, 768}} {
+		f := New(sz[0], sz[1])
+		for i, p := range f.Pix() {
+			if p != pixel.RGB(0, 0, 0) {
+				t.Fatalf("%dx%d: pixel %d is %08x, want opaque black", sz[0], sz[1], i, uint32(p))
+			}
+		}
 	}
 }
 
@@ -66,6 +71,64 @@ func TestFillTileAnchoring(t *testing.T) {
 			}
 			if f.At(x, y) != want {
 				t.Fatalf("tile misaligned at (%d,%d)", x, y)
+			}
+		}
+	}
+}
+
+// fillTilePerPixel is the pixel-at-a-time tile fill FillTileAnchored
+// replaced: two modulos per pixel. It is the oracle the row-copy kernel
+// must match pixel for pixel.
+func fillTilePerPixel(f *Framebuffer, r geom.Rect, t *Tile, ax, ay int) {
+	r = f.clip(r)
+	for y := r.Y0; y < r.Y1; y++ {
+		ty := (((y - ay) % t.H) + t.H) % t.H
+		trow := t.Pix[ty*t.W : (ty+1)*t.W]
+		frow := f.pix[y*f.w : y*f.w+f.w]
+		for x := r.X0; x < r.X1; x++ {
+			frow[x] = trow[(((x-ax)%t.W)+t.W)%t.W]
+		}
+	}
+}
+
+// TestFillTileAnchoredMatchesPerPixel: tile widths 1-17 and heights
+// 1-9, anchors zero, negative, past the surface and far out, rects
+// taller and wider than the tile, hanging off each of the four sides,
+// one pixel, and empty.
+func TestFillTileAnchoredMatchesPerPixel(t *testing.T) {
+	rnd := rand.New(rand.NewSource(39))
+	const fw, fh = 40, 24
+	rects := []geom.Rect{
+		geom.XYWH(3, 2, 30, 18),     // inside
+		geom.XYWH(-7, 4, 20, 9),     // off the left
+		geom.XYWH(30, 5, 19, 9),     // off the right
+		geom.XYWH(5, -6, 17, 13),    // off the top
+		geom.XYWH(9, 17, 23, 15),    // off the bottom
+		geom.XYWH(-11, -5, 70, 40),  // off all four
+		geom.XYWH(12, 7, 1, 1),      // one pixel
+		geom.XYWH(6, 6, 0, 5),       // empty
+		geom.XYWH(-50, -50, 10, 10), // nothing visible
+	}
+	anchors := [][2]int{{0, 0}, {3, 5}, {-4, -9}, {45, 31}, {-1_000_003, 999_983}, {1 << 30, -(1 << 30) - 7}}
+	for w := 1; w <= 17; w++ {
+		for h := 1; h <= 9; h++ {
+			pix := make([]pixel.ARGB, w*h)
+			for i := range pix {
+				pix[i] = pixel.ARGB(rnd.Uint32())
+			}
+			tile := NewTile(w, h, pix)
+			for _, r := range rects {
+				a := anchors[rnd.Intn(len(anchors))]
+				dst := randomSurface(rnd, fw, fh)
+				got, want := dst.Clone(), dst.Clone()
+				got.FillTileAnchored(r, tile, a[0], a[1])
+				fillTilePerPixel(want, r, tile, a[0], a[1])
+				if !got.Equal(want) {
+					d := got.DiffRegion(want)
+					p := d.Rects()[0]
+					t.Fatalf("tile %dx%d, rect %v, anchor %v: pixel (%d,%d) = %08x, want %08x",
+						w, h, r, a, p.X0, p.Y0, uint32(got.At(p.X0, p.Y0)), uint32(want.At(p.X0, p.Y0)))
+				}
 			}
 		}
 	}
@@ -321,6 +384,22 @@ func BenchmarkFillSolid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.FillSolid(r, pixel.RGB(uint8(i), 0, 0))
+	}
+}
+
+// BenchmarkFillTile tiles a page-sized area with an 8x8 pattern, the
+// shape of a web page's tiled background.
+func BenchmarkFillTile(b *testing.B) {
+	pix := make([]pixel.ARGB, 64)
+	for i := range pix {
+		pix[i] = pixel.RGB(uint8(i*4), 200, 255-uint8(i))
+	}
+	tile := NewTile(8, 8, pix)
+	f := New(1024, 768)
+	r := geom.XYWH(0, 40, 1024, 700)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.FillTileAnchored(r, tile, 3, 5)
 	}
 }
 
