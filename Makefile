@@ -56,8 +56,9 @@ bench-snapshot:
 # test that pins absorption as linear in the run, not quadratic. And so
 # does the §5 pacing contract (TestPush*, both connection drivers):
 # first damage after an idle interval leaves at once, a sustained stream
-# stays within FlushBudget per FlushInterval, an idle connection runs no
-# pass and holds no timer. The video overlay kernel (a 352x240 frame
+# stays within FlushBudget emitted bytes per FlushInterval, a 1024x768
+# PNG initial sync leaves in one pass, an idle connection runs no pass
+# and holds no timer. The video overlay kernel (a 352x240 frame
 # scaled to 1024x768) runs once, with the test that pins its allocations
 # per call to at most one and 16 KB. The PNG writer encodes a web-page
 # photo band with the test that pins a steady-state encode into a sized
@@ -120,7 +121,9 @@ bench-load-smoke:
 # painted with against the per-pixel oracle it replaced, and
 # FuzzOverlayYV12 does the same for the video overlay kernel.
 # FuzzEncodePNG checks the PNG writer every RAW update is compressed
-# with against image/png, byte for byte.
+# with against image/png, byte for byte. FuzzDecode feeds every RAW
+# codec's client decoder arbitrary payloads: no panic, an accepted
+# payload is exactly its block, and every encoding decodes back.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzVideoFrame -fuzztime 30s
@@ -130,6 +133,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fb/ -run '^$$' -fuzz FuzzFillBitmap -fuzztime 30s
 	$(GO) test ./internal/fb/ -run '^$$' -fuzz FuzzOverlayYV12 -fuzztime 30s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz FuzzEncodePNG -fuzztime 30s
+	$(GO) test ./internal/compress/ -run '^$$' -fuzz FuzzDecode -fuzztime 30s
 
 # Regenerate the golden wire vectors under internal/wire/testdata/
 # after a deliberate protocol change: the frozen-vector tests rewrite

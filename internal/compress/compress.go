@@ -84,7 +84,10 @@ func EncodeAppend(c Codec, dst []byte, pix []pixel.ARGB, w, h int) ([]byte, erro
 	}
 }
 
-// Decode reverses Encode for a block known to be w x h.
+// Decode reverses Encode for a block known to be w x h. Every codec
+// checks the payload against the block before it allocates for it, so
+// a short payload cannot make the decoder allocate more than the block
+// it claims to fill.
 func Decode(c Codec, data []byte, w, h int) ([]pixel.ARGB, error) {
 	switch c {
 	case CodecNone:
@@ -94,7 +97,7 @@ func Decode(c Codec, data []byte, w, h int) ([]pixel.ARGB, error) {
 	case CodecPNG:
 		return decodePNG(data, w, h)
 	case CodecZlib:
-		raw, err := decodeZlib(data)
+		raw, err := decodeZlib(data, w*h*4)
 		if err != nil {
 			return nil, err
 		}
@@ -150,12 +153,18 @@ func appendRLE(out []byte, pix []pixel.ARGB) []byte {
 }
 
 func decodeRLE(data []byte, n int) ([]pixel.ARGB, error) {
-	if len(data)%5 != 0 {
+	// Every run covers 1 to 256 pixels: a payload whose runs cannot
+	// fill exactly n is refused before anything is allocated.
+	runs := len(data) / 5
+	if len(data)%5 != 0 || n < runs || n > runs*256 {
 		return nil, ErrCorrupt
 	}
 	pix := make([]pixel.ARGB, 0, n)
 	for o := 0; o < len(data); o += 5 {
 		run := int(data[o]) + 1
+		if len(pix)+run > n {
+			return nil, ErrCorrupt
+		}
 		p := pixel.ARGB(binary.BigEndian.Uint32(data[o+1:]))
 		for k := 0; k < run; k++ {
 			pix = append(pix, p)
@@ -168,14 +177,20 @@ func decodeRLE(data []byte, n int) ([]pixel.ARGB, error) {
 }
 
 func decodePNG(data []byte, w, h int) ([]pixel.ARGB, error) {
+	// The decoder allocates the image the IHDR names: hold that to the
+	// block before decoding.
+	cfg, err := png.DecodeConfig(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if cfg.Width != w || cfg.Height != h {
+		return nil, ErrCorrupt
+	}
 	img, err := png.Decode(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	b := img.Bounds()
-	if b.Dx() != w || b.Dy() != h {
-		return nil, ErrCorrupt
-	}
 	pix := make([]pixel.ARGB, w*h)
 	// The decoder hands back *image.NRGBA for truecolor with alpha and
 	// *image.RGBA (opaque, so premultiplication is the identity) for
@@ -247,15 +262,23 @@ func appendZlibBytes(dst, raw []byte) ([]byte, error) {
 	return sw.b, nil
 }
 
-func decodeZlib(data []byte) ([]byte, error) {
+// decodeZlib inflates exactly n bytes: a stream that ends sooner, runs
+// longer or fails its checksum is corrupt, and no more than n bytes
+// are ever taken from it.
+func decodeZlib(data []byte, n int) ([]byte, error) {
 	zr, err := zlib.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	defer zr.Close()
-	raw, err := io.ReadAll(zr)
-	if err != nil {
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(zr, raw); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	// Reading past the end verifies the checksum.
+	var extra [1]byte
+	if _, err := io.ReadFull(zr, extra[:]); err != io.EOF {
+		return nil, ErrCorrupt
 	}
 	return raw, nil
 }

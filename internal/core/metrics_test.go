@@ -70,7 +70,7 @@ func TestSplitRemainderRequeued(t *testing.T) {
 		t.Fatalf("expected one remainder entry, have %d", b.Len())
 	}
 	rem := b.entries[0]
-	newQueue := b.queueOf(rem)
+	newQueue := sizeQueue(rem.size)
 	if newQueue >= origQueue {
 		t.Fatalf("remainder still in queue %d (original %d); not rescheduled by reduced size",
 			newQueue, origQueue)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"thinc/internal/geom"
@@ -70,6 +71,7 @@ type entry struct {
 	isFrame  bool
 	slot     string // replacement-slot key ("" = none)
 	inFlush  uint64 // flush counter at insertion (queue-residency metric)
+	drain    uint64 // id of the drain that found it queued; 0 once that drain delivered it
 	// epoch and damageNS carry the translation layer's batch stamp
 	// through the scheduler (wire v5 e2e tracing; see trace.go).
 	epoch    uint64
@@ -105,7 +107,9 @@ type BufferStats struct {
 type ClientBuffer struct {
 	entries []*entry
 	seq     uint64
-	flushes uint64 // Flush invocations (queue-residency metric)
+	flushes uint64   // delivery passes opened by Flush (queue-residency metric)
+	drains  uint64   // drain calls (Flush, FlushMore, FlushOne) that scheduled entries
+	order   []*entry // a drain's delivery order, reused between drains
 
 	rtCenter geom.Point
 	rtTTL    int
@@ -430,18 +434,93 @@ func (b *ClientBuffer) redirectDeps(old, new *entry) {
 	}
 }
 
-// queueOf computes an entry's current SRSF queue from its *remaining*
-// wire size (cached; invalidated on eviction shrink, merge, and split).
-func (b *ClientBuffer) queueOf(e *entry) int {
-	return sizeQueue(e.size)
+// srsfCmp is the SRSF delivery order: real-time entries first, by
+// arrival; then the size queues in increasing order of each entry's
+// *remaining* wire size (cached; refreshed on eviction shrink, merge and
+// split), by arrival within a queue.
+func srsfCmp(a, b *entry) int {
+	if a.realtime != b.realtime {
+		if a.realtime {
+			return -1
+		}
+		return 1
+	}
+	if !a.realtime {
+		if c := cmp.Compare(sizeQueue(a.size), sizeQueue(b.size)); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
-// Flush delivers up to budget bytes of commands in scheduler order:
-// real-time first, then queues in increasing size order, arrival order
-// within a queue — holding back any command whose dependencies have not
-// been delivered yet. A RAW command that does not fit is split;
-// anything else that does not fit stops the flush (non-blocking commit,
-// §5). It returns the wire messages to transmit.
+// schedule opens one drain: it stamps every buffered entry with a fresh
+// drain id (an entry's dependency is pending exactly while the
+// dependency carries the id of the drain looking at it) and returns the
+// entries in delivery order, SRSF or (srsf false) arrival order. The
+// slice is the buffer's scratch; the drain clears it when done, so
+// delivered commands do not stay reachable through it.
+func (b *ClientBuffer) schedule(srsf bool) []*entry {
+	b.drains++
+	b.order = append(b.order[:0], b.entries...)
+	for _, e := range b.order {
+		e.drain = b.drains
+	}
+	if srsf {
+		slices.SortStableFunc(b.order, srsfCmp)
+	}
+	return b.order
+}
+
+// ready reports whether every dependency of e has left the buffer: it
+// was delivered or evicted before this drain, or delivered by it.
+func ready(e *entry, drain uint64) bool {
+	for _, d := range e.deps {
+		if d.drain == drain {
+			return false
+		}
+	}
+	return true
+}
+
+// sent accounts an entry the current drain delivered in full and takes
+// it out of the drain's pending set.
+func (b *ClientBuffer) sent(e *entry, drainNS int64) {
+	e.drain = 0
+	b.Stats.Sent++
+	b.met.sent.Inc()
+	// Queue residency in delivery passes; an entry queued between two
+	// calls of the pass that delivers it waited none.
+	var waited uint64
+	if e.inFlush < b.flushes {
+		waited = b.flushes - 1 - e.inFlush
+	}
+	b.met.queueWait.Observe(int64(waited))
+	b.noteDelivered(e, drainNS)
+}
+
+// keepPending drops every entry the current drain delivered from the
+// buffer and releases the drain's scratch order.
+func (b *ClientBuffer) keepPending() {
+	kept := b.entries[:0]
+	for _, e := range b.entries {
+		if e.drain == b.drains {
+			kept = append(kept, e)
+		}
+	}
+	clear(b.entries[len(kept):]) // delivered commands must not stay reachable
+	b.entries = kept
+	clear(b.order)
+}
+
+// Flush opens a delivery pass and delivers up to budget bytes of
+// commands in scheduler order: real-time first, then queues in
+// increasing size order, arrival order within a queue — holding back
+// any command whose dependencies have not been delivered yet. A RAW
+// command that does not fit is split; anything else that does not fit
+// stops the flush (non-blocking commit, §5). It returns the wire
+// messages to transmit. The budget is charged with each command's
+// pre-compression wire size, so the bytes that leave may be far fewer;
+// a transport that paces by those can go on with FlushMore.
 func (b *ClientBuffer) Flush(budget int) []wire.Message {
 	if b.rtTTL > 0 {
 		b.rtTTL--
@@ -450,59 +529,39 @@ func (b *ClientBuffer) Flush(budget int) []wire.Message {
 		return nil
 	}
 	b.flushes++
+	return b.drain(budget)
+}
+
+// FlushMore is Flush continuing the delivery pass the last Flush
+// opened: the same budget rule, but the pass counters — the real-time
+// region's lifetime and queue residency — are not advanced again.
+func (b *ClientBuffer) FlushMore(budget int) []wire.Message {
+	if len(b.entries) == 0 || budget <= 0 {
+		return nil
+	}
+	return b.drain(budget)
+}
+
+// drain is one budgeted call of a delivery pass (Flush, FlushMore).
+func (b *ClientBuffer) drain(budget int) []wire.Message {
 	b.lastFlush = FlushTrace{}
 	drainNS := time.Now().UnixNano()
-
-	inBuf := make(map[*entry]bool, len(b.entries))
-	for _, e := range b.entries {
-		inBuf[e] = true
-	}
-	order := make([]*entry, len(b.entries))
-	copy(order, b.entries)
-	if !b.FIFO {
-		sort.SliceStable(order, func(i, j int) bool {
-			ei, ej := order[i], order[j]
-			if ei.realtime != ej.realtime {
-				return ei.realtime
-			}
-			if ei.realtime && ej.realtime {
-				return ei.seq < ej.seq
-			}
-			qi, qj := b.queueOf(ei), b.queueOf(ej)
-			if qi != qj {
-				return qi < qj
-			}
-			return ei.seq < ej.seq
-		})
-	}
-
-	delivered := make(map[*entry]bool)
-	ready := func(e *entry) bool {
-		for _, d := range e.deps {
-			if inBuf[d] && !delivered[d] {
-				return false
-			}
-		}
-		return true
-	}
+	order := b.schedule(!b.FIFO)
+	drain := b.drains
 
 	var out []wire.Message
 	blocked := false
 	for progress := true; progress && !blocked; {
 		progress = false
 		for _, e := range order {
-			if delivered[e] || !ready(e) {
+			if e.drain != drain || !ready(e, drain) {
 				continue
 			}
 			sz := e.size
 			if sz <= budget {
 				out = e.cmd.Emit(out)
 				budget -= sz
-				delivered[e] = true
-				b.Stats.Sent++
-				b.met.sent.Inc()
-				b.met.queueWait.Observe(int64(b.flushes - 1 - e.inFlush))
-				b.noteDelivered(e, drainNS)
+				b.sent(e, drainNS)
 				progress = true
 				continue
 			}
@@ -522,11 +581,7 @@ func (b *ClientBuffer) Flush(budget int) []wire.Message {
 							fmt.Sprintf("part=%dB remaining=%dB", part.WireSize(), e.size))
 					}
 					if rc.Live().Empty() {
-						delivered[e] = true
-						b.Stats.Sent++
-						b.met.sent.Inc()
-						b.met.queueWait.Observe(int64(b.flushes - 1 - e.inFlush))
-						b.noteDelivered(e, drainNS)
+						b.sent(e, drainNS)
 					}
 				}
 			}
@@ -534,27 +589,23 @@ func (b *ClientBuffer) Flush(budget int) []wire.Message {
 			break
 		}
 	}
+	b.keepPending()
+	b.account(out)
+	return out
+}
 
-	if len(delivered) > 0 {
-		kept := b.entries[:0]
-		for _, e := range b.entries {
-			if !delivered[e] {
-				kept = append(kept, e)
-			}
-		}
-		clear(b.entries[len(kept):]) // delivered commands must not stay reachable
-		b.entries = kept
+// account adds a drain's messages to the bytes-sent counters.
+func (b *ClientBuffer) account(out []wire.Message) {
+	if len(out) == 0 {
+		return
 	}
 	var flushed int64
 	for _, m := range out {
 		flushed += int64(wire.WireSize(m))
 	}
 	b.Stats.BytesSent += flushed
-	if len(out) > 0 {
-		b.met.bytesSent.Add(flushed)
-		b.met.flushBytes.Observe(flushed)
-	}
-	return out
+	b.met.bytesSent.Add(flushed)
+	b.met.flushBytes.Observe(flushed)
 }
 
 // FlushAll drains the buffer completely, ignoring budgets — used by
@@ -571,70 +622,32 @@ func (b *ClientBuffer) FlushAll() []wire.Message {
 	return out
 }
 
-// FlushOne delivers exactly the first eligible command regardless of
-// size — the transport path for a command larger than the socket
-// buffer when the link is otherwise idle: the kernel streams a large
-// write over time, it does not refuse it.
+// FlushOne delivers exactly the first eligible command in SRSF order
+// regardless of size — the transport path for a command larger than
+// the socket buffer when the link is otherwise idle: the kernel streams
+// a large write over time, it does not refuse it.
 func (b *ClientBuffer) FlushOne() []wire.Message {
 	if len(b.entries) == 0 {
 		return nil
 	}
-	// Reuse Flush's ordering with a budget big enough for any command,
-	// but stop after the first delivery.
-	inBuf := make(map[*entry]bool, len(b.entries))
-	for _, e := range b.entries {
-		inBuf[e] = true
-	}
-	order := make([]*entry, len(b.entries))
-	copy(order, b.entries)
-	sort.SliceStable(order, func(i, j int) bool {
-		ei, ej := order[i], order[j]
-		if ei.realtime != ej.realtime {
-			return ei.realtime
-		}
-		if ei.realtime && ej.realtime {
-			return ei.seq < ej.seq
-		}
-		qi, qj := b.queueOf(ei), b.queueOf(ej)
-		if qi != qj {
-			return qi < qj
-		}
-		return ei.seq < ej.seq
-	})
+	order := b.schedule(true)
+	drain := b.drains
 	for _, e := range order {
-		ok := true
-		for _, d := range e.deps {
-			if inBuf[d] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !ready(e, drain) {
 			continue
 		}
 		out := e.cmd.Emit(nil)
-		kept := b.entries[:0]
-		for _, x := range b.entries {
-			if x != e {
-				kept = append(kept, x)
-			}
-		}
-		clear(b.entries[len(kept):]) // delivered commands must not stay reachable
-		b.entries = kept
+		e.drain = 0
+		b.keepPending()
 		b.lastFlush = FlushTrace{}
 		b.noteDelivered(e, time.Now().UnixNano())
 		b.Stats.Sent++
 		b.Stats.Overshoots++
 		b.met.sent.Inc()
 		b.met.overshoots.Inc()
-		var flushed int64
-		for _, m := range out {
-			flushed += int64(wire.WireSize(m))
-		}
-		b.Stats.BytesSent += flushed
-		b.met.bytesSent.Add(flushed)
-		b.met.flushBytes.Observe(flushed)
+		b.account(out)
 		return out
 	}
+	clear(order)
 	return nil
 }

@@ -243,3 +243,33 @@ func TestFlushEmptyAndZeroBudget(t *testing.T) {
 		t.Fatal("zero budget should flush nothing")
 	}
 }
+
+// TestFlushMoreContinuesThePass: FlushMore drains like Flush but does
+// not open a new delivery pass, so the per-pass counters — the input
+// region's lifetime and queue residency — count passes, however many
+// batches a pass takes.
+func TestFlushMoreContinuesThePass(t *testing.T) {
+	b := NewClientBuffer()
+	b.NotifyInput(geom.Point{X: 500, Y: 500})
+	for i := 0; i < rtLifetime-1; i++ {
+		b.Add(NewFill(geom.XYWH(0, 0, 5, 5), pixel.RGB(uint8(i), 1, 1)))
+		if len(b.Flush(1<<20)) == 0 {
+			t.Fatal("Flush delivered nothing")
+		}
+		for k := 0; k < 3; k++ {
+			b.Add(NewFill(geom.XYWH(0, 0, 5, 5), pixel.RGB(uint8(i), 2, 2)))
+			if len(b.FlushMore(1<<20)) == 0 {
+				t.Fatal("FlushMore delivered nothing")
+			}
+		}
+	}
+	if b.flushes != rtLifetime-1 {
+		t.Fatalf("%d passes counted for %d Flush calls", b.flushes, rtLifetime-1)
+	}
+	if b.rtRegion().Empty() {
+		t.Fatalf("input region expired after %d passes; it lives %d", rtLifetime-1, rtLifetime)
+	}
+	if b.Flush(1 << 20); !b.rtRegion().Empty() {
+		t.Fatal("input region outlived its passes")
+	}
+}

@@ -3,6 +3,9 @@ package server
 import (
 	"sync/atomic"
 	"time"
+
+	"thinc/internal/core"
+	"thinc/internal/wire"
 )
 
 // Delivery pacing (§5). THINC pushes: an update leaves when there is
@@ -16,8 +19,13 @@ import (
 // delivered at once, while a sustained stream still gets at most
 // FlushBudget bytes per FlushInterval — the link model the overload
 // controller's streak counts and the chaos link budgets are built on.
-// Dropping the interval altogether (write progress as the only
-// throttle) is deliberately not done here: it would remove that model.
+// Those are bytes that leave: a pass keeps draining budget-sized SRSF
+// batches (core.ClientBuffer.Flush, then FlushMore) and writing each
+// at once, charging it what it put on the wire, until its allowance is
+// spent (allowance). A 3 MB screen that PNG shrinks to a few KB leaves
+// in one pass, not in one pass per 256 KiB of raw pixels. Dropping the
+// interval altogether (write progress as the only throttle) is
+// deliberately not done here: it would remove that model.
 
 // pacing is the due-time arithmetic. It is owned by one flusher and
 // needs no lock.
@@ -50,6 +58,72 @@ func (p *pacing) delivered(start time.Time, paced bool) {
 	p.next = p.next.Add(p.interval)
 }
 
+// allowance is the byte arithmetic of a pass: each pass may emit
+// FlushBudget bytes, less what the previous pass overshot. A pass takes
+// a further batch only while what is left of its allowance would pay
+// for one as large as the batch before, so a stream of like batches
+// never overshoots and leaves at most FlushBudget bytes per pass; a
+// batch larger than the one before it can overshoot, and the next pass
+// pays that back. It is owned by one flusher and needs no lock.
+type allowance struct {
+	budget int // FlushBudget
+	debt   int // bytes the previous pass emitted past its allowance
+}
+
+// drainCall says which drain of the client buffer one step of a pass
+// makes.
+type drainCall uint8
+
+const (
+	drainOpen  drainCall = iota // Flush: the pass's first batch
+	drainMore                   // FlushMore: a further batch of the same pass
+	drainWhole                  // FlushOne: the head command, larger than a whole budget
+)
+
+// take makes the drain on buf; the caller holds the buffer's lock.
+func (d drainCall) take(buf *core.ClientBuffer, budget int) []wire.Message {
+	switch d {
+	case drainOpen:
+		return buf.Flush(budget)
+	case drainMore:
+		return buf.FlushMore(budget)
+	default:
+		return buf.FlushOne()
+	}
+}
+
+// pass runs one delivery pass. step drains one batch with the given
+// call, writes it, and reports the bytes that left and whether
+// commands are still queued. The pass goes on while commands are
+// queued, the last batch emitted anything, and the allowance left
+// would pay for another like it. When the opening batch is empty
+// although commands are queued, the head command is unsplittable and
+// larger than the whole budget (a long audio write against a
+// modem-class budget): it is streamed whole, like a kernel taking one
+// oversized write, or the queue would wedge; the passes after it pay
+// for it. pass reports the bytes the pass emitted and whether any step
+// ran (a pass still paying off debt runs none).
+func (a *allowance) pass(step func(drainCall) (sent int, queued bool, err error)) (sent int, stepped bool, err error) {
+	left := a.budget - a.debt
+	for call := drainOpen; left > 0; call = drainMore {
+		n, queued, err := step(call)
+		if err == nil && n == 0 && queued && call == drainOpen {
+			n, queued, err = step(drainWhole)
+		}
+		sent += n
+		left -= n
+		stepped = true
+		if err != nil {
+			return sent, stepped, err
+		}
+		if n == 0 || !queued || left < n {
+			break
+		}
+	}
+	a.debt = max(0, -left)
+	return sent, stepped, nil
+}
+
 // pusher is the push-on-damage state machine around pacing: the damage
 // hook (any goroutine, under the lock that guards the command buffer)
 // calls request; the flusher calls deliver when woken, by the hook or
@@ -58,6 +132,7 @@ func (p *pacing) delivered(start time.Time, paced bool) {
 // timer and a burst of inserts costs one wake.
 type pusher struct {
 	pacing
+	allowance
 	wake func() // wakes the flusher; called under the buffer's lock, must not block
 
 	// armed marks a pass pending: requested and not yet run, or booked
@@ -68,8 +143,8 @@ type pusher struct {
 	booked bool
 }
 
-func newPusher(interval time.Duration, wake func()) *pusher {
-	return &pusher{pacing: pacing{interval: interval}, wake: wake}
+func newPusher(interval time.Duration, budget int, wake func()) *pusher {
+	return &pusher{pacing: pacing{interval: interval}, allowance: allowance{budget: budget}, wake: wake}
 }
 
 // request asks for a delivery pass. It is the damage hook, and the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"thinc/internal/client"
+	"thinc/internal/compress"
 	"thinc/internal/geom"
 	"thinc/internal/pixel"
 	"thinc/internal/telemetry"
@@ -153,15 +154,16 @@ func (c *stampedConn) Read(p []byte) (int, error) {
 }
 
 // TestPushRateBound: FlushBudget bytes per FlushInterval stays the
-// worst-case rate of a sustained stream. A 16 KB incompressible image
-// against a budget of four of its rows drains over 16 passes (as did
-// the initial screen before it); no window of k intervals may carry
-// more than k+1 budgets, and the drain may not finish sooner than the
-// passes' minimum spacing allows. The pump books the paced timer for
-// exactly the wait the pacing rule asked for, so it never wakes before
-// a held pass is due: the drain costs one pump run per pass, not the
-// extra runs an early wake would spend finding itself early and
-// booking again.
+// worst-case rate of a sustained stream, counted in bytes that leave. A
+// 16 KB incompressible image against a budget of four of its rows
+// drains over 16 passes (as did the initial screen before it): the
+// passes must number at least the bytes the client read divided by the
+// budget, no window of k intervals may carry more than k+1 budgets, and
+// the drain may not finish sooner than the passes' minimum spacing
+// allows. The pump books the paced timer for exactly the wait the
+// pacing rule asked for, so it never wakes before a held pass is due:
+// the drain costs one pump run per pass, not the extra runs an early
+// wake would spend finding itself early and booking again.
 func TestPushRateBound(t *testing.T) {
 	const (
 		interval = 25 * time.Millisecond
@@ -200,11 +202,18 @@ func TestPushRateBound(t *testing.T) {
 
 		after, _ := passes(host)
 		n := after - before
-		if n < 64*64*4/budget {
-			t.Fatalf("16 KB left in %d passes of %d bytes", n, budget)
+		tap.mu.Lock()
+		reads := append([]stampedRead(nil), tap.reads...)
+		tap.mu.Unlock()
+		total := 0
+		for _, r := range reads {
+			total += r.n
+		}
+		if int(n) < total/budget {
+			t.Fatalf("%d bytes left in %d passes of %d bytes", total, n, budget)
 		}
 		runs := pumpRuns(host) - runsBefore
-		t.Logf("%d passes in %v, %d pump runs", n, took, runs)
+		t.Logf("%d passes carried %d bytes in %v, %d pump runs", n, total, took, runs)
 		// Besides the passes: a first wake that finds the previous pass
 		// too recent, and a heartbeat with its pong.
 		if runs > n+runSlack {
@@ -214,9 +223,6 @@ func TestPushRateBound(t *testing.T) {
 			t.Fatalf("%d passes took %v, under the %v their spacing requires", n, took, floor)
 		}
 
-		tap.mu.Lock()
-		reads := append([]stampedRead(nil), tap.reads...)
-		tap.mu.Unlock()
 		for i := range reads {
 			sum := 0
 			for _, r := range reads[i:] {
@@ -365,6 +371,88 @@ func TestPushRecorder(t *testing.T) {
 	if viewer.FB().Checksum() != host.ScreenChecksum() {
 		t.Fatal("replayed screen differs from the live one")
 	}
+}
+
+// drawDesktop paints a full-screen window the way a desktop looks: a
+// backdrop, panels and lines of text, which PNG shrinks from 3 MB of
+// pixels to a few KB.
+func drawDesktop(host *Host, w, h int) {
+	host.Do(func(d *xserver.Display) {
+		win := d.CreateWindow(geom.XYWH(0, 0, w, h))
+		d.FillRect(win, &xserver.GC{Fg: pixel.RGB(58, 110, 165)}, geom.XYWH(0, 0, w, h))
+		d.FillRect(win, &xserver.GC{Fg: pixel.RGB(220, 220, 220)}, geom.XYWH(0, h-28, w, 28))
+		for i := 0; i < 4; i++ {
+			panel := geom.XYWH(60+i*230, 80+i*40, 400, 300)
+			d.FillRect(win, &xserver.GC{Fg: pixel.RGB(250, 250, 250)}, panel)
+			d.FillRect(win, &xserver.GC{Fg: pixel.RGB(40, 60, 120)}, geom.XYWH(panel.X0, panel.Y0, 400, 20))
+			for line := 0; line < 12; line++ {
+				d.DrawText(win, &xserver.GC{Fg: pixel.RGB(20, 20, 20)}, panel.X0+8, panel.Y0+36+line*20,
+					"the quick brown fox jumps over the lazy dog")
+			}
+		}
+	})
+}
+
+// TestPushInitialSyncOnePass: a 1024×768 attach with the shipped codec
+// queues one 3 MB RAW that PNG shrinks to a few KB. The budget is
+// charged with the bytes that leave, so the whole screen goes in the
+// attach's one delivery pass (charged before compression it left as 13
+// paced slices), and the Recorder puts it on the tape in one pass too.
+func TestPushInitialSyncOnePass(t *testing.T) {
+	const w, h = 1024, 768
+	opts := Options{DisableAudit: true, DisableE2E: true, DisableOverload: true}
+	opts.Core.RawCodec = compress.CodecPNG
+	pushDrivers(t, func(t *testing.T, serve hostStarter, _ Options) {
+		host, addr := serve(t, w, h, opts)
+		drawDesktop(host, w, h)
+		conn, err := client.Dial(addr, "owner", "pw", w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		go conn.Run()
+		waitConverged(t, host, conn, 5*time.Second)
+		waitFor(t, "idle", func() bool { return idle(host) })
+		if n, paced := passes(host); n != 1 {
+			t.Fatalf("the initial screen took %d delivery passes (%d paced), want 1", n, paced)
+		}
+	})
+	t.Run("recorder", func(t *testing.T) {
+		// A second pass could not start before an interval is over; the
+		// tape is closed well inside it.
+		const interval = time.Second
+		testutil.CheckGoroutines(t)
+		opts := opts
+		opts.FlushInterval = interval
+		host := NewHost(w, h, testGate(), opts)
+		defer host.Close()
+		drawDesktop(host, w, h)
+		var buf safeBuffer
+		rec := host.Record(&buf)
+		defer rec.Close()
+		waitFor(t, "initial screen on the tape", func() bool { return buf.Len() > 0 })
+		time.Sleep(interval / 4)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		viewer := client.New(w, h)
+		r := buf.Reader()
+		records := 0
+		for {
+			rec, err := ReadRecord(r)
+			if err != nil {
+				break
+			}
+			if err := viewer.Apply(rec.Msg); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			records++
+		}
+		if viewer.FB().Checksum() != host.ScreenChecksum() {
+			t.Fatalf("the tape holds %d records (%d bytes) a quarter interval in, short of the initial screen",
+				records, buf.Len())
+		}
+	})
 }
 
 // TestPushDueTime is the due-time arithmetic on its own.

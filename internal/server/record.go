@@ -43,17 +43,29 @@ type Recorder struct {
 // Record attaches a recorder to the session. Close it to detach.
 func (h *Host) Record(w io.Writer) *Recorder {
 	r := &Recorder{host: h, w: w, start: time.Now()}
-	pass := func(bool) (wrote, more bool, err error) {
+	var more bool // commands still queued after the latest drain
+	step := func(call drainCall) (int, bool, error) {
 		h.mu.Lock()
-		msgs := r.cl.Flush(h.opts.FlushBudget)
+		msgs := call.take(r.cl.Buf, h.opts.FlushBudget)
 		more = r.cl.Buf.Len() > 0
 		h.mu.Unlock()
+		n := 0
 		for _, m := range msgs {
 			if err := r.write(m); err != nil {
-				return false, false, err
+				return n, more, err
 			}
+			n += recordHeader + wire.WireSize(m)
 		}
-		return len(msgs) > 0, more, nil
+		return n, more, nil
+	}
+	pass := func(bool) (bool, bool, error) {
+		sent, stepped, err := r.push.pass(step)
+		if err != nil {
+			return false, false, err
+		}
+		// A pass paying off the previous one's overshoot looked at
+		// nothing; the next one will.
+		return sent > 0, more || !stepped, nil
 	}
 	pending := func() bool {
 		h.mu.Lock()
@@ -86,8 +98,11 @@ func (r *Recorder) detach() {
 	r.detached = true
 }
 
+// recordHeader is the timestamp ahead of each recorded message.
+const recordHeader = 8
+
 func (r *Recorder) write(m wire.Message) error {
-	var ts [8]byte
+	var ts [recordHeader]byte
 	binary.BigEndian.PutUint64(ts[:], uint64(time.Since(r.start).Microseconds()))
 	if _, err := r.w.Write(ts[:]); err != nil {
 		return err

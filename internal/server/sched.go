@@ -96,7 +96,7 @@ func (d *delivery) open(h *Host, key uint64, run, wake func()) {
 		pool = d.pool
 	}
 	d.task = pool.Task(key, run)
-	d.push = newPusher(h.opts.FlushInterval, wake)
+	d.push = newPusher(h.opts.FlushInterval, h.opts.FlushBudget, wake)
 	// Created stopped, so Reset books it with no channel to drain.
 	d.paced = time.AfterFunc(time.Hour, wake)
 	d.paced.Stop()

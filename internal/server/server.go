@@ -48,10 +48,11 @@ type Options struct {
 	// idle connection's first damage is delivered at once. Zero means
 	// 5ms.
 	FlushInterval time.Duration
-	// FlushBudget bounds the bytes one delivery pass drains, measured
-	// as the commands' pre-compression wire size (socket-buffer model);
-	// with FlushInterval it sets the worst-case rate. Zero means
-	// 256 KiB.
+	// FlushBudget bounds the bytes one delivery pass puts on the wire:
+	// a pass drains budget-sized batches until what it emitted reaches
+	// the budget, and the next pass's allowance is reduced by any
+	// overshoot. With FlushInterval it sets the worst-case rate in bytes
+	// that leave. Zero means 256 KiB.
 	FlushBudget int
 	// HeartbeatInterval paces server→client Pings; zero means 1s.
 	HeartbeatInterval time.Duration
@@ -923,6 +924,9 @@ type serverConn struct {
 	// pump, which owns the encoder, emits the notice.
 	noticeRung int32
 
+	// backlog is the client buffer's queued bytes after the latest
+	// drain; pump-owned.
+	backlog int
 	// wrote counts the bytes the pump has committed, so a delivery pass
 	// can tell whether it delivered anything.
 	wrote int64
@@ -966,11 +970,12 @@ func (c *serverConn) wakeFlush() {
 	c.sched.task.Wake()
 }
 
-// flushPass binds flushTick to the pump's batch as the pusher's pass,
-// and flushPending is the pusher's check for work a request was made
-// for (queued commands, a parked notice); the pump builds the pair
-// once per connection.
+// flushPass binds flushTick and its drain step to the pump's batch as
+// the pusher's pass, and flushPending is the pusher's check for work a
+// request was made for (queued commands, a parked notice); the pump
+// builds the pair once per connection, so a pass allocates nothing.
 func (c *serverConn) flushPass(batch *wire.Batch, queue func(wire.Message) error, flush func() error) func(bool) (bool, bool, error) {
+	step := c.drainStep(batch, queue, flush)
 	return func(paced bool) (wrote, more bool, err error) {
 		if paced {
 			c.host.met.flushPassesPaced.Inc()
@@ -978,7 +983,7 @@ func (c *serverConn) flushPass(batch *wire.Batch, queue func(wire.Message) error
 			c.host.met.flushPassesDamage.Inc()
 		}
 		before := c.wrote
-		backlog, err := c.flushTick(batch, queue, flush)
+		backlog, err := c.flushTick(step, queue, flush)
 		// Backlog needs further passes; an active rung needs the cadence
 		// for the controller to walk back down; a held admission slot is
 		// released by the first pass that finds the backlog drained.
@@ -1199,65 +1204,81 @@ func (c *serverConn) heartbeatTick(queue func(wire.Message) error, flush func() 
 	return nil
 }
 
-// flushTick runs one delivery pass: drain up to the budget from the
-// client buffer, frame the messages into the pooled batch (large pixel
-// slabs ride along by reference) and commit it in one vectored write —
-// the non-blocking socket commit of §5 over a real TCP connection, with
-// no per-message allocation — then run the overload controller and
-// apply the slow-client policy. It returns the post-flush backlog so
-// the caller can decide whether another pass is needed.
-func (c *serverConn) flushTick(batch *wire.Batch, queue func(wire.Message) error, flush func() error) (int, error) {
+// drainStep is one step of a delivery pass (pace.go): drain a batch
+// from the client buffer, frame the messages into the pooled batch
+// (large pixel slabs ride along by reference) and commit it in one
+// vectored write — the non-blocking socket commit of §5 over a real TCP
+// connection, with no per-message allocation. It reports the bytes
+// that left and leaves the post-drain backlog in c.backlog.
+func (c *serverConn) drainStep(batch *wire.Batch, queue func(wire.Message) error, flush func() error) func(drainCall) (int, bool, error) {
 	met := c.host.met
-	var msgs []wire.Message
-	var backlog int
-	var ft core.FlushTrace
-	func() {
+	return func(call drainCall) (int, bool, error) {
+		var msgs []wire.Message
+		var ft core.FlushTrace
+		queued := false
+		func() {
+			c.host.mu.Lock()
+			defer c.host.mu.Unlock()
+			msgs = call.take(c.cl.Buf, c.host.opts.FlushBudget)
+			if len(msgs) > 0 {
+				ft = c.cl.Buf.LastFlush()
+			}
+			c.backlog = c.cl.Buf.QueuedBytes()
+			queued = c.cl.Buf.Len() > 0
+		}()
+		drainNS := time.Now().UnixNano()
+		for _, m := range msgs {
+			if err := queue(m); err != nil {
+				return 0, queued, err
+			}
+		}
+		// The mark rides the same batch as the commands it names, so
+		// the client acks it only after applying everything before it.
+		mark := c.e2eMark(ft, drainNS)
+		if mark != nil {
+			if err := queue(mark); err != nil {
+				return 0, queued, err
+			}
+		}
+		batchBytes := batch.Len()
+		start := time.Now()
+		if err := flush(); err != nil {
+			return 0, queued, err
+		}
+		if mark != nil {
+			c.e2eArm()
+		}
+		// The vectored write is done; RAW payload buffers can go
+		// back to the codec scratch pool.
+		core.RecycleMessages(msgs)
+		if batchBytes > 0 {
+			met.flushBatch.Observe(batchBytes)
+			c.estMu.Lock()
+			c.est.ObserveFlush(int(batchBytes), time.Since(start))
+			c.estMu.Unlock()
+		}
+		return int(batchBytes), queued, nil
+	}
+}
+
+// flushTick runs one delivery pass: drain steps while the pass's
+// allowance of emitted bytes lasts (pace.go), then, once per pass, run
+// the overload controller and apply the slow-client policy. It returns
+// the post-flush backlog so the caller can decide whether another pass
+// is needed.
+func (c *serverConn) flushTick(step func(drainCall) (int, bool, error), queue func(wire.Message) error, flush func() error) (int, error) {
+	met := c.host.met
+	_, stepped, err := c.sched.push.pass(step)
+	if err != nil {
+		return c.backlog, err
+	}
+	if !stepped {
+		// The pass is paying off the previous one's overshoot.
 		c.host.mu.Lock()
-		defer c.host.mu.Unlock()
-		msgs = c.cl.Flush(c.host.opts.FlushBudget)
-		if len(msgs) == 0 && c.cl.Buf.Len() > 0 {
-			// The head command is unsplittable and larger than the
-			// whole budget (a long audio write against a modem-class
-			// pacing budget): stream it whole, like a kernel taking
-			// one oversized write, or the queue wedges forever.
-			msgs = c.cl.Buf.FlushOne()
-		}
-		if len(msgs) > 0 {
-			ft = c.cl.Buf.LastFlush()
-		}
-		backlog = c.cl.Buf.QueuedBytes()
-	}()
-	drainNS := time.Now().UnixNano()
-	for _, m := range msgs {
-		if err := queue(m); err != nil {
-			return backlog, err
-		}
+		c.backlog = c.cl.Buf.QueuedBytes()
+		c.host.mu.Unlock()
 	}
-	// The mark rides the same batch as the commands it names, so
-	// the client acks it only after applying everything before it.
-	mark := c.e2eMark(ft, drainNS)
-	if mark != nil {
-		if err := queue(mark); err != nil {
-			return backlog, err
-		}
-	}
-	batchBytes := batch.Len()
-	start := time.Now()
-	if err := flush(); err != nil {
-		return backlog, err
-	}
-	if mark != nil {
-		c.e2eArm()
-	}
-	// The vectored write is done; RAW payload buffers can go
-	// back to the codec scratch pool.
-	core.RecycleMessages(msgs)
-	if batchBytes > 0 {
-		met.flushBatch.Observe(batchBytes)
-		c.estMu.Lock()
-		c.est.ObserveFlush(int(batchBytes), time.Since(start))
-		c.estMu.Unlock()
-	}
+	backlog := c.backlog
 	if err := c.overloadTick(backlog, queue, flush); err != nil {
 		return backlog, err
 	}

@@ -117,7 +117,7 @@ func newHostMetrics(reg *telemetry.Registry, tr *telemetry.Tracer) *hostMetrics 
 		hbRTT: reg.Histogram("thinc_heartbeat_rtt_us",
 			"round-trip time of server heartbeats", telemetry.LatencyBucketsUS),
 		flushBatch: reg.Histogram("thinc_server_flush_batch_bytes",
-			"wire bytes written per non-empty delivery pass", telemetry.ByteBuckets),
+			"wire bytes written per non-empty batch; a delivery pass writes batches until its allowance is spent", telemetry.ByteBuckets),
 		flushPassesDamage: reg.Counter("thinc_server_flush_passes_total",
 			"delivery passes by trigger: at once on damage, or paced by FlushInterval",
 			telemetry.L("trigger", "damage")),
