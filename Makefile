@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cover bench-snapshot bench-smoke bench-e2e-smoke bench-cache-smoke bench-reattach-smoke bench-load-smoke fuzz-smoke golden-regen soak
+.PHONY: all build vet test race check cover bench-smoke bench-load-smoke fuzz-smoke golden-regen soak
 
 all: check
 
@@ -37,15 +37,14 @@ cover:
 # (see docs/ROBUSTNESS.md). -run 'TestChaos' picks up both families
 # (TestChaosSoak and TestChaosCorruptionSoak). Every schedule logs its
 # seed, so a failure replays exactly; override with THINC_CHAOS_SEED.
-# Bounded wall-clock via the test timeout.
+# Bounded wall-clock via the test timeout. The whole output is also
+# kept in soak.log, so a failure's schedule and seed survive a cut
+# terminal or CI log; pipefail makes the target fail with the test, not
+# succeed with tee.
+soak: SHELL := bash
+soak: .SHELLFLAGS := -o pipefail -c
 soak:
-	THINC_CHAOS_SOAK=100 $(GO) test ./internal/chaos/ -race -count=1 -timeout 15m -run 'TestChaos'
-
-# Quick benchmark run that dumps THINC's per-command-type byte counts,
-# core telemetry series, encode pool counters, and integrity-audit
-# counters to BENCH_pr6.json.
-bench-snapshot:
-	$(GO) run ./cmd/thinc-bench -quick -fig 2 -telemetry-out BENCH_pr6.json
+	THINC_CHAOS_SOAK=100 $(GO) test ./internal/chaos/ -race -count=1 -timeout 15m -run 'TestChaos' 2>&1 | tee soak.log
 
 # Encode fast-path smoke: the zero-allocation assertions plus one
 # iteration of every wire benchmark, cheap enough for CI. The *ZeroAlloc
@@ -74,32 +73,6 @@ bench-smoke:
 	$(GO) test ./internal/compress/ -run 'TestEncodePNGSteadyStateAllocs' -count=1
 	$(GO) test ./internal/compress/ -run '^$$' -bench 'BenchmarkEncodePNGWebBlock' -benchtime=100x -count=1
 	$(GO) test ./internal/server/ -run 'TestPush' -count=1
-
-# End-to-end latency smoke: a short live sweep (2 workloads x loopback +
-# shaped WAN x 2 pinned rungs) through the wire-v5 mark loop. The run
-# self-checks the report — it fails if any pipeline stage reports zero
-# samples or any cell never got an acked mark. The JSON lands in a temp
-# file so the committed BENCH_pr7.json (full-duration run) stays put.
-bench-e2e-smoke:
-	$(GO) run ./cmd/thinc-bench -e2e -e2e-duration 500ms -e2e-out /tmp/bench_e2e_smoke.json
-
-# Payload-cache smoke: a short wire-v6 bytes-on-wire sweep (cached vs
-# uncached over loopback + shaped WAN). The run self-checks the report
-# — it fails unless every link clears the 5x steady-state reduction
-# with a hot, miss-free cache and zero cache traffic on the uncached
-# row. The committed BENCH_pr8.json comes from the full-round run
-# (thinc-bench -cache with defaults); the smoke writes to a temp file.
-bench-cache-smoke:
-	$(GO) run ./cmd/thinc-bench -cache -cache-rounds 10 -cache-out /tmp/bench_cache_smoke.json
-
-# Warm-reattach smoke: a short wire-v7 sweep (warm vs cold resumes over
-# loopback + shaped WAN). The run self-checks the report — it fails
-# unless a warm resume re-ships less than 5% of the cold resync's bytes
-# on every link, with every warm cycle actually resuming warm. The
-# committed BENCH_pr9.json comes from the full-cycle run (thinc-bench
-# -reattach with defaults); the smoke writes to a temp file.
-bench-reattach-smoke:
-	$(GO) run ./cmd/thinc-bench -reattach -reattach-cycles 6 -reattach-out /tmp/bench_reattach_smoke.json
 
 # Multi-session load smoke: the sharded delivery core hosting 1000
 # fully event-driven sessions under the race detector, plus the smaller

@@ -15,20 +15,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
-	"thinc/internal/auth"
-	"thinc/internal/baseline"
 	"thinc/internal/bench"
-	"thinc/internal/client"
-	"thinc/internal/core"
-	"thinc/internal/fb"
-	"thinc/internal/geom"
-	"thinc/internal/pixel"
-	"thinc/internal/server"
-	"thinc/internal/xserver"
 )
 
 func main() {
@@ -36,39 +26,7 @@ func main() {
 	pages := flag.Int("pages", 0, "web pages per run (0 = full 54-page benchmark)")
 	seconds := flag.Float64("seconds", 0, "A/V clip seconds (0 = full 34.75s clip)")
 	quick := flag.Bool("quick", false, "shortcut for -pages 9 -seconds 5")
-	telemetryOut := flag.String("telemetry-out", "", "write a THINC telemetry snapshot (per-command-type bytes + core series) to this JSON file")
-	e2e := flag.Bool("e2e", false, "run the live end-to-end latency sweep instead of the figure benchmarks")
-	e2eOut := flag.String("e2e-out", "BENCH_pr7.json", "where -e2e writes its percentile report")
-	e2eDur := flag.Duration("e2e-duration", 2*time.Second, "damage time per (workload, link, rung) cell")
-	cache := flag.Bool("cache", false, "run the wire-v6 payload cache bytes-on-wire sweep")
-	cacheOut := flag.String("cache-out", "BENCH_pr8.json", "where -cache writes its report")
-	cacheRounds := flag.Int("cache-rounds", 0, "steady rounds per cache cell (0 = default)")
-	reattach := flag.Bool("reattach", false, "run the wire-v7 warm-vs-cold reattach resync sweep")
-	reattachOut := flag.String("reattach-out", "BENCH_pr9.json", "where -reattach writes its report")
-	reattachCycles := flag.Int("reattach-cycles", 0, "measured resumes per reattach cell (0 = default)")
 	flag.Parse()
-
-	if *e2e {
-		if err := runE2EMode(*e2eOut, *e2eDur); err != nil {
-			fmt.Fprintf(os.Stderr, "e2e: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cache {
-		if err := runCacheMode(*cacheOut, *cacheRounds); err != nil {
-			fmt.Fprintf(os.Stderr, "cache: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *reattach {
-		if err := runReattachMode(*reattachOut, *reattachCycles); err != nil {
-			fmt.Fprintf(os.Stderr, "reattach: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *quick {
 		if *pages == 0 {
@@ -106,209 +64,5 @@ func main() {
 	for _, t := range tables {
 		fmt.Println(t.String())
 	}
-	if *telemetryOut != "" {
-		if err := writeTelemetry(*telemetryOut, *pages, *seconds); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry snapshot written to %s\n", *telemetryOut)
-	}
 	fmt.Printf("completed in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// runE2EMode sweeps the live end-to-end latency cells (workloads x
-// links x rungs), writes the percentile report, and self-checks it —
-// the CI smoke job fails on any cell with a silent stage.
-func runE2EMode(path string, dur time.Duration) error {
-	start := time.Now()
-	report, err := bench.RunE2E(bench.E2EOptions{Duration: dur},
-		func(msg string) { fmt.Println(msg) })
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := report.Check(); err != nil {
-		return fmt.Errorf("report self-check: %w", err)
-	}
-	for _, r := range report.Runs {
-		fmt.Printf("%-8s %-9s rung=%-12s acks=%-4d p50=%-7dus p95=%-7dus p99=%-7dus\n",
-			r.Workload, r.Link, r.RungName, r.Acks, r.E2E.P50, r.E2E.P95, r.E2E.P99)
-	}
-	fmt.Printf("e2e report written to %s (%v)\n", path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runCacheMode sweeps the wire-v6 payload cache cells (links x
-// cached/uncached), writes the bytes-on-wire report, and self-checks
-// it — the CI smoke job fails unless every link clears the 5x
-// steady-state reduction with a hot, miss-free cache.
-func runCacheMode(path string, steadyRounds int) error {
-	start := time.Now()
-	report, err := bench.RunCacheBench(bench.CacheOptions{SteadyRounds: steadyRounds},
-		func(msg string) { fmt.Println(msg) })
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := report.Check(); err != nil {
-		return fmt.Errorf("report self-check: %w", err)
-	}
-	for _, c := range report.Runs {
-		fmt.Printf("%-9s %-8s steady=%-9dB round=%-8dB stores=%-4d paints=%-5d hit=%d/1000 p99=%dus\n",
-			c.Link, c.Mode, c.SteadyBytes, c.BytesPerRound, c.CacheStores, c.CachePaints,
-			c.HitRatioMilli, c.E2E.P99)
-	}
-	for link, ratio := range report.RatioMilli {
-		fmt.Printf("%-9s steady bytes reduction: %d.%03dx\n", link, ratio/1000, ratio%1000)
-	}
-	fmt.Printf("cache report written to %s (%v)\n", path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runReattachMode sweeps the wire-v7 reattach cells (links x
-// warm/cold), writes the resync bytes + convergence latency report,
-// and self-checks it — the CI smoke job fails unless a warm resume
-// re-ships less than 5% of the cold resync's bytes on every link.
-func runReattachMode(path string, cycles int) error {
-	start := time.Now()
-	report, err := bench.RunReattachBench(bench.ReattachOptions{Cycles: cycles},
-		func(msg string) { fmt.Println(msg) })
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := report.Check(); err != nil {
-		return fmt.Errorf("report self-check: %w", err)
-	}
-	for _, c := range report.Runs {
-		fmt.Printf("%-9s %-5s resync=%-8dB/resume warm=%-3d cold=%-3d paints=%-5d p50=%-7dus p99=%-7dus\n",
-			c.Link, c.Mode, c.BytesPerResync, c.WarmResumes, c.ColdResumes,
-			c.CachePaints, c.Converge.P50, c.Converge.P99)
-	}
-	for link, milli := range report.WarmColdMilli {
-		fmt.Printf("%-9s warm resync ships %d.%01d%% of cold bytes\n", link, milli/10, milli%10)
-	}
-	fmt.Printf("reattach report written to %s (%v)\n", path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeTelemetry runs THINC's web and A/V workloads over the LAN
-// configuration and dumps per-command-type delivery counts plus the
-// core translation/scheduler series to a JSON file.
-func writeTelemetry(path string, pages int, seconds float64) error {
-	sys := baseline.THINC()
-	cfg := bench.LANDesktop()
-	report := &bench.TelemetryReport{}
-	web := bench.RunWeb(sys, cfg, pages)
-	report.Runs = append(report.Runs, bench.TelemetryRun{
-		System: web.System, Config: web.Config, Workload: "web", Snapshot: web.Telemetry,
-	})
-	av := bench.RunAV(sys, cfg, seconds)
-	report.Runs = append(report.Runs, bench.TelemetryRun{
-		System: av.System, Config: av.Config, Workload: "av", Snapshot: av.Telemetry,
-	})
-	if audit, err := auditTelemetryRun(); err == nil {
-		report.Runs = append(report.Runs, audit)
-	} else {
-		fmt.Fprintf(os.Stderr, "audit telemetry run: %v\n", err)
-	}
-	report.EncodePools = bench.SnapshotEncodePools()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return report.Write(f)
-}
-
-// auditTelemetryRun exercises the wire-v4 integrity audit against a
-// live loopback session — draw, silently corrupt two client tiles,
-// wait for the self-healing repair — and snapshots the host registry,
-// so the thinc_audit_* counter family lands in the benchmark JSON with
-// real traffic behind it.
-func auditTelemetryRun() (bench.TelemetryRun, error) {
-	run := bench.TelemetryRun{System: "thinc", Config: "loopback", Workload: "audit"}
-	accounts := auth.NewAccounts()
-	accounts.Add("bench", "pw")
-	host := server.NewHost(96, 64, auth.NewAuthenticator("bench", accounts), server.Options{
-		Core:          core.Options{AuditTileSize: 16},
-		FlushInterval: time.Millisecond,
-		AuditInterval: 5 * time.Millisecond,
-		AuditTimeout:  500 * time.Millisecond,
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return run, err
-	}
-	defer l.Close()
-	go host.Serve(l)
-	conn, err := client.Dial(l.Addr().String(), "bench", "pw", 96, 64)
-	if err != nil {
-		return run, err
-	}
-	defer conn.Close()
-	go conn.Run()
-
-	host.Do(func(d *xserver.Display) {
-		win := d.CreateWindow(geom.XYWH(0, 0, 96, 64))
-		d.FillRect(win, &xserver.GC{Fg: pixel.RGB(30, 60, 90)}, geom.XYWH(0, 0, 96, 64))
-		d.FillRect(win, &xserver.GC{Fg: pixel.RGB(200, 50, 10)}, geom.XYWH(8, 8, 40, 30))
-		d.DrawText(win, &xserver.GC{Fg: pixel.RGB(255, 255, 255)}, 10, 40, "audit")
-	})
-	want := host.ScreenChecksum()
-	converge := func() error {
-		deadline := time.Now().Add(10 * time.Second)
-		for conn.Snapshot().Checksum() != want {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("audit run did not converge")
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return nil
-	}
-	if err := converge(); err != nil {
-		return run, err
-	}
-	conn.WithFB(func(f *fb.Framebuffer) {
-		g := fb.Grid(f.W(), f.H(), 16)
-		for _, i := range []int{2, 20} {
-			r := g.Rect(i)
-			f.Set(r.X0, r.Y0, f.At(r.X0, r.Y0)^0x00000100)
-		}
-	})
-	if err := converge(); err != nil {
-		return run, err
-	}
-	run.Snapshot = &bench.TelemetrySnapshot{Series: host.Telemetry().Snapshot()}
-	return run, nil
 }

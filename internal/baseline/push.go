@@ -7,7 +7,6 @@ import (
 	"thinc/internal/geom"
 	"thinc/internal/sim"
 	"thinc/internal/simnet"
-	"thinc/internal/telemetry"
 	"thinc/internal/wire"
 	"thinc/internal/xserver"
 )
@@ -132,15 +131,8 @@ const (
 
 // NewSession implements System.
 func (s *PushSystem) NewSession(cfg SessionConfig) Session {
-	// Each session gets its own registry wired into the core, so bench
-	// runs can snapshot translation/scheduler telemetry per run.
-	reg := telemetry.NewRegistry()
-	opts := s.Opts
-	if opts.Metrics == nil {
-		opts.Metrics = core.NewMetrics(reg)
-	}
-	srv := core.NewServer(opts)
-	ps := &pushSession{sys: s, cfg: cfg, srv: srv, reg: reg,
+	srv := core.NewServer(s.Opts)
+	ps := &pushSession{sys: s, cfg: cfg, srv: srv,
 		pipe: simnet.NewPipe(cfg.Eng, cfg.Link)}
 	ps.zip = s.AlwaysZip || (s.WANZlib && cfg.Link.RTT >= 20*sim.Millisecond)
 	return ps
@@ -170,32 +162,7 @@ type pushSession struct {
 	haveVideoDelay bool
 
 	st SessionStats
-
-	// Per-wire-type delivery accounting, indexed by wire.Type; reg is
-	// the session's core telemetry registry (see NewSession).
-	typeMsgs  [256]int64
-	typeBytes [256]int64
-	reg       *telemetry.Registry
 }
-
-// WireByType returns delivered message and byte counts keyed by wire
-// type name ("RAW", "COPY", ...), for telemetry snapshots.
-func (p *pushSession) WireByType() (msgs, bytes map[string]int64) {
-	msgs = make(map[string]int64)
-	bytes = make(map[string]int64)
-	for t := range p.typeMsgs {
-		if p.typeMsgs[t] == 0 {
-			continue
-		}
-		name := wire.Type(t).String()
-		msgs[name] = p.typeMsgs[t]
-		bytes[name] = p.typeBytes[t]
-	}
-	return msgs, bytes
-}
-
-// Telemetry returns the session's core metrics registry.
-func (p *pushSession) Telemetry() *telemetry.Registry { return p.reg }
 
 // SetProbe arms a one-shot probe: the arrival time of the first display
 // message touching r is recorded (interactive-response measurement for
@@ -403,8 +370,6 @@ func (p *pushSession) sendMsg(m wire.Message) {
 		p.pipe.S2C.Send(size, m, func(at sim.Time, _ simnet.Payload) {
 			p.st.BytesToClient += int64(size)
 			p.st.MsgsToClient++
-			p.typeMsgs[m.Type()]++
-			p.typeBytes[m.Type()] += int64(size)
 			p.st.LastDelivery = at
 			apply := CostClientPerMsg + ByteCost(int64(size)) + decodeCPU
 			if p.sys.ResizeBy == ResizeClient && p.cfg.Scaled() {

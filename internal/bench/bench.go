@@ -92,10 +92,9 @@ type PageResult struct {
 
 // WebResult is a complete web benchmark run.
 type WebResult struct {
-	System    string
-	Config    string
-	Pages     []PageResult
-	Telemetry *TelemetrySnapshot // nil for systems without telemetry
+	System string
+	Config string
+	Pages  []PageResult
 }
 
 // AvgLatencyNet returns the mean page latency (network measure).
@@ -211,7 +210,6 @@ func RunWeb(sys baseline.System, cfg Config, pages int) WebResult {
 			ImageHeavy:  st.ImageHeavy,
 		})
 	}
-	res.Telemetry = snapshotTelemetry(sess)
 	return res
 }
 
@@ -224,9 +222,8 @@ type AVResult struct {
 	AudioQuality float64
 	Frames       int
 	Bytes        int64
-	Mbps         float64            // average bandwidth over the clip
-	MaxAVSkew    sim.Time           // §4.2 synchronization bound (native path)
-	Telemetry    *TelemetrySnapshot // nil for systems without telemetry
+	Mbps         float64  // average bandwidth over the clip
+	MaxAVSkew    sim.Time // §4.2 synchronization bound (native path)
 }
 
 // avWeightVideo weighs video over audio in the combined measure; the
@@ -339,7 +336,6 @@ func RunAV(sys baseline.System, cfg Config, seconds float64) AVResult {
 		span = st.LastDelivery - t0
 	}
 	res.Mbps = float64(res.Bytes*8) / span.Seconds() / 1e6
-	res.Telemetry = snapshotTelemetry(sess)
 	return res
 }
 

@@ -1,21 +1,17 @@
 // Package compress provides the payload encoders used on the wire. THINC
 // compresses only RAW pixel updates (every other command is already a
 // compact semantic encoding); the prototype used PNG for that purpose
-// (§7), with a cheap RLE as the low-CPU alternative. A zlib codec is
-// provided for the baseline systems (VNC/NX-class) that compress
-// everything.
+// (§7), with a cheap RLE as the low-CPU alternative.
 package compress
 
 import (
 	"bytes"
-	"compress/zlib"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
-	"io"
 
 	"thinc/internal/pixel"
 )
@@ -23,13 +19,13 @@ import (
 // Codec identifies a RAW payload encoding.
 type Codec uint8
 
-// Supported codecs.
+// Supported codecs. The values are wire bytes; 3 is unassigned and
+// decodes as an unknown codec.
 const (
-	CodecNone  Codec = iota // raw ARGB32, no compression
-	CodecRLE                // run-length encoding of ARGB32 pixels
-	CodecPNG                // PNG (the prototype's choice)
-	CodecZlib               // zlib over ARGB32 (baseline systems)
-	CodecDown2              // lossy half-resolution downscale + RLE (overload rung 2)
+	CodecNone  Codec = 0 // raw ARGB32, no compression
+	CodecRLE   Codec = 1 // run-length encoding of ARGB32 pixels
+	CodecPNG   Codec = 2 // PNG (the prototype's choice)
+	CodecDown2 Codec = 4 // lossy half-resolution downscale + RLE (overload rung 2)
 )
 
 func (c Codec) String() string {
@@ -40,8 +36,6 @@ func (c Codec) String() string {
 		return "rle"
 	case CodecPNG:
 		return "png"
-	case CodecZlib:
-		return "zlib"
 	case CodecDown2:
 		return "down2"
 	default:
@@ -62,7 +56,7 @@ func Encode(c Codec, pix []pixel.ARGB, w, h int) ([]byte, error) {
 // EncodeAppend compresses a w x h block of pixels with the chosen
 // codec, appending the payload to dst (which may be nil or a pooled
 // scratch from GetScratch) and returning the extended slice. The
-// encoders reuse pooled zlib/PNG state, so steady-state encoding
+// encoders reuse pooled PNG state, so steady-state encoding
 // allocates only when the payload outgrows its buffer.
 func EncodeAppend(c Codec, dst []byte, pix []pixel.ARGB, w, h int) ([]byte, error) {
 	if len(pix) != w*h {
@@ -75,8 +69,6 @@ func EncodeAppend(c Codec, dst []byte, pix []pixel.ARGB, w, h int) ([]byte, erro
 		return appendRLE(dst, pix), nil
 	case CodecPNG:
 		return appendPNG(dst, pix, w, h)
-	case CodecZlib:
-		return appendZlib(dst, pix)
 	case CodecDown2:
 		return appendDown2(dst, pix, w, h), nil
 	default:
@@ -96,12 +88,6 @@ func Decode(c Codec, data []byte, w, h int) ([]pixel.ARGB, error) {
 		return decodeRLE(data, w*h)
 	case CodecPNG:
 		return decodePNG(data, w, h)
-	case CodecZlib:
-		raw, err := decodeZlib(data, w*h*4)
-		if err != nil {
-			return nil, err
-		}
-		return decodeRawBytes(raw, w*h)
 	case CodecDown2:
 		return decodeDown2(data, w, h)
 	default:
@@ -231,54 +217,4 @@ func decodePNG(data []byte, w, h int) ([]pixel.ARGB, error) {
 func nrgbaPixel(c color.Color) pixel.ARGB {
 	n := color.NRGBAModel.Convert(c).(color.NRGBA)
 	return pixel.PackARGB(n.A, n.R, n.G, n.B)
-}
-
-func appendZlib(dst []byte, pix []pixel.ARGB) ([]byte, error) {
-	raw := appendRawBytes(GetScratch(), pix)
-	out, err := appendZlibBytes(dst, raw)
-	PutScratch(raw)
-	return out, err
-}
-
-func appendZlibBytes(dst, raw []byte) ([]byte, error) {
-	sw := &sliceWriter{b: dst}
-	zw, _ := zlibWriters.Get().(*zlib.Writer)
-	if zw == nil {
-		var err error
-		zw, err = zlib.NewWriterLevel(sw, zlib.BestSpeed)
-		if err != nil {
-			return dst, err
-		}
-	} else {
-		zw.Reset(sw)
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return dst, err
-	}
-	if err := zw.Close(); err != nil {
-		return dst, err
-	}
-	zlibWriters.Put(zw)
-	return sw.b, nil
-}
-
-// decodeZlib inflates exactly n bytes: a stream that ends sooner, runs
-// longer or fails its checksum is corrupt, and no more than n bytes
-// are ever taken from it.
-func decodeZlib(data []byte, n int) ([]byte, error) {
-	zr, err := zlib.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	// Reading past the end verifies the checksum.
-	var extra [1]byte
-	if _, err := io.ReadFull(zr, extra[:]); err != io.EOF {
-		return nil, ErrCorrupt
-	}
-	return raw, nil
 }

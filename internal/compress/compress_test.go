@@ -34,7 +34,7 @@ func TestRoundTripAllCodecs(t *testing.T) {
 		"flat":   flatBlock(13, 9, pixel.RGB(200, 100, 50)),
 	}
 	for name, pix := range blocks {
-		for _, c := range []Codec{CodecNone, CodecRLE, CodecPNG, CodecZlib} {
+		for _, c := range []Codec{CodecNone, CodecRLE, CodecPNG} {
 			data, err := Encode(c, pix, 13, 9)
 			if err != nil {
 				t.Fatalf("%s/%v encode: %v", name, c, err)
@@ -70,7 +70,7 @@ func TestAlphaSurvivesPNG(t *testing.T) {
 func TestFlatContentCompressesWell(t *testing.T) {
 	pix := flatBlock(64, 64, pixel.RGB(255, 255, 255))
 	rawLen := 64 * 64 * 4
-	for _, c := range []Codec{CodecRLE, CodecPNG, CodecZlib} {
+	for _, c := range []Codec{CodecRLE, CodecPNG} {
 		data, err := Encode(c, pix, 64, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestSizeMismatchRejected(t *testing.T) {
 
 func TestCorruptPayloadRejected(t *testing.T) {
 	pix := flatBlock(4, 4, pixel.RGB(1, 2, 3))
-	for _, c := range []Codec{CodecNone, CodecRLE, CodecPNG, CodecZlib} {
+	for _, c := range []Codec{CodecNone, CodecRLE, CodecPNG} {
 		data, err := Encode(c, pix, 4, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestUnknownCodec(t *testing.T) {
 }
 
 func TestCodecNames(t *testing.T) {
-	for _, c := range []Codec{CodecNone, CodecRLE, CodecPNG, CodecZlib} {
+	for _, c := range []Codec{CodecNone, CodecRLE, CodecPNG, CodecDown2} {
 		if c.String() == "unknown" {
 			t.Errorf("codec %d unnamed", c)
 		}

@@ -5,8 +5,6 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"hash/crc32"
-	"io"
-	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -24,7 +22,7 @@ func allocated(f func()) uint64 {
 }
 
 // fixedState bounds what a decoder may allocate besides the block's
-// pixels (zlib and PNG reader state).
+// pixels (PNG reader state).
 const fixedState = 64 << 10
 
 // checkDecodeBounded decodes a payload that does not fill its w x h
@@ -56,17 +54,23 @@ func pngChunk(dst []byte, typ string, data []byte) []byte {
 // allocates the image the IHDR names before it reads a pixel, so the
 // header is held to the block first.
 func TestDecodePNGHeaderBomb(t *testing.T) {
+	data := pngHeaderBomb()
+	if len(data) != 68 {
+		t.Fatalf("bomb is %d bytes, want 68", len(data))
+	}
+	checkDecodeBounded(t, CodecPNG, data, 4, 4, 4*4*4+fixedState)
+}
+
+// pngHeaderBomb is a valid PNG whose IHDR names an 8000x8000 RGB image
+// and whose IDAT is an empty zlib stream.
+func pngHeaderBomb() []byte {
 	ihdr := make([]byte, 13)
 	binary.BigEndian.PutUint32(ihdr[0:], 8000)
 	binary.BigEndian.PutUint32(ihdr[4:], 8000)
 	ihdr[8], ihdr[9] = 8, ctTrueColor
 	data := pngChunk([]byte(pngSignature), "IHDR", ihdr)
 	data = pngChunk(data, "IDAT", []byte("\x78\x01\x01\x00\x00\xff\xff\x00\x00\x00\x01"))
-	data = pngChunk(data, "IEND", nil)
-	if len(data) != 68 {
-		t.Fatalf("bomb is %d bytes, want 68", len(data))
-	}
-	checkDecodeBounded(t, CodecPNG, data, 4, 4, 4*4*4+fixedState)
+	return pngChunk(data, "IEND", nil)
 }
 
 // TestDecodeRLEShortPayload: one 5-byte run in an 8000x8000 RAW. At
@@ -78,55 +82,27 @@ func TestDecodeRLEShortPayload(t *testing.T) {
 	checkDecodeBounded(t, CodecRLE, bytes.Repeat([]byte{0xFF, 0xFF, 1, 2, 3}, 64), 16, 16, 16*16*4+fixedState)
 }
 
-// zlibBomb returns a well-formed zlib stream of about size bytes that
-// inflates to about 160 times that many zero bytes: one fixed-Huffman
-// block of a literal 0 and then (length 258, distance 1) copies, 13
-// bits each.
-func zlibBomb(size int) []byte {
-	out := []byte{0x78, 0x01}
-	var acc uint64
-	var nbits uint
-	put := func(v uint64, n uint) {
-		acc |= v << nbits
-		for nbits += n; nbits >= 8; nbits -= 8 {
-			out = append(out, byte(acc))
-			acc >>= 8
-		}
-	}
-	// Huffman codes go out most significant bit first.
-	code := func(c uint64, n uint) { put(bits.Reverse64(c)>>(64-n), n) }
-	put(1, 1)     // BFINAL
-	put(1, 2)     // BTYPE 01: fixed Huffman codes
-	code(0x30, 8) // literal 0
-	inflated := 1
-	for len(out) < size {
-		code(0xC5, 8) // length symbol 285: 258 bytes
-		code(0, 5)    // distance code 0: distance 1
-		inflated += 258
-	}
-	code(0, 7) // end of block
-	if nbits > 0 {
-		put(0, 8-nbits) // pad to a byte
-	}
-	// Adler-32 of zeros: a stays 1, b counts the bytes.
-	return binary.BigEndian.AppendUint32(out, uint32(inflated%65521)<<16|1)
-}
-
-// TestDecodeZlibBomb: a 255 KB zlib payload that inflates to 41 MB, in
-// a 4x4 RAW. The decoder takes no more from the stream than the block
-// holds.
-func TestDecodeZlibBomb(t *testing.T) {
-	data := zlibBomb(255 << 10)
-	// The bomb is real: it inflates to zeros well past the block.
-	zr, err := zlib.NewReader(bytes.NewReader(data))
-	if err != nil {
+// TestDecodeRefusesCodec3: codec byte 3 is unassigned (it was a zlib
+// codec nothing emitted). A well-formed zlib payload of a 4x4 block is
+// refused under it before anything is allocated for the block, and
+// nothing encodes to it.
+func TestDecodeRefusesCodec3(t *testing.T) {
+	pix := flatBlock(4, 4, pixel.RGB(9, 8, 7))
+	var buf bytes.Buffer
+	zw := zlib.NewWriter(&buf)
+	if _, err := zw.Write(appendRawBytes(nil, pix)); err != nil {
 		t.Fatal(err)
 	}
-	head := make([]byte, 1<<16)
-	if _, err := io.ReadFull(zr, head); err != nil || slices.ContainsFunc(head, func(b byte) bool { return b != 0 }) {
-		t.Fatalf("bomb does not inflate to zeros: %v", err)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	checkDecodeBounded(t, CodecZlib, data, 4, 4, 4*4*4+fixedState)
+	checkDecodeBounded(t, Codec(3), buf.Bytes(), 4, 4, 1<<10)
+	if _, err := Encode(Codec(3), pix, 4, 4); err == nil {
+		t.Fatal("codec 3 encoded a block")
+	}
+	if got := Codec(3).String(); got != "unknown" {
+		t.Fatalf("codec 3 is named %q", got)
+	}
 }
 
 // FuzzDecode feeds every codec arbitrary payloads for blocks of up to
@@ -134,17 +110,21 @@ func TestDecodeZlibBomb(t *testing.T) {
 // block's pixels, and whatever EncodeAppend writes decodes back to its
 // input (CodecDown2 is lossy: back to the block's size).
 func FuzzDecode(f *testing.F) {
-	for c := CodecNone; c <= CodecDown2; c++ {
+	codecs := []Codec{CodecNone, CodecRLE, CodecPNG, CodecDown2}
+	for i, c := range codecs {
 		pix := []pixel.ARGB{0xFF010203, 0xFF010203, 0x80FFFFFF, 0}
 		data, err := Encode(c, pix, 2, 2)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(uint8(c), uint8(1), uint8(1), data)
-		f.Add(uint8(c), uint8(16), uint8(3), []byte{0xFF, 1, 2, 3})
+		f.Add(uint8(i), uint8(1), uint8(1), data)
+		f.Add(uint8(i), uint8(16), uint8(3), []byte{0xFF, 1, 2, 3})
 	}
+	// The amplification payloads the decoders refuse before allocating.
+	f.Add(uint8(2), uint8(3), uint8(3), pngHeaderBomb())
+	f.Add(uint8(1), uint8(63), uint8(63), []byte{0xFF, 0xFF, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, codec, w, h uint8, data []byte) {
-		c := Codec(codec % uint8(CodecDown2+1))
+		c := codecs[int(codec)%len(codecs)]
 		bw, bh := int(w%64)+1, int(h%64)+1
 		if pix, err := Decode(c, data, bw, bh); err == nil && len(pix) != bw*bh {
 			t.Fatalf("%v: accepted %d bytes as %d pixels of a %dx%d block", c, len(data), len(pix), bw, bh)

@@ -78,15 +78,6 @@ func PoolStats() ScratchStats {
 	}
 }
 
-// sliceWriter appends everything written to it onto a byte slice —
-// the io.Writer adapter for pooled zlib encoder state.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// zlibWriters recycles zlib.Writer state (the deflate window alone is
-// tens of kilobytes) across encodes via Reset.
+// zlibWriters recycles the PNG writer's zlib.Writer state (the deflate
+// window alone is tens of kilobytes) across encodes via Reset.
 var zlibWriters sync.Pool

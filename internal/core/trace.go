@@ -35,6 +35,16 @@ type FlushTrace struct {
 	Delivered int
 }
 
+// Add folds o, the trace of a later flush of the same delivery pass,
+// into t, so t summarizes the whole pass.
+func (t *FlushTrace) Add(o FlushTrace) {
+	t.Delivered += o.Delivered
+	t.MaxEpoch = max(t.MaxEpoch, o.MaxEpoch)
+	if o.OldestDamageNS > 0 && (t.OldestDamageNS == 0 || o.OldestDamageNS < t.OldestDamageNS) {
+		t.OldestDamageNS = o.OldestDamageNS
+	}
+}
+
 // LastFlush returns the trace of the most recent Flush or FlushOne
 // that delivered anything. Callers must check that the flush they just
 // issued was non-empty before reading it.

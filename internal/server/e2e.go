@@ -16,14 +16,15 @@ import (
 // latency ends when the client has decoded and painted the update. To
 // close that gap without clock synchronization, the pump — the
 // sole writer and the sole owner of this state machine — appends a
-// TIME_MARK after a flush that delivered commands, naming the newest
-// flush epoch the batch contained. The client answers with a MARK_ACK
-// once everything up to the mark is on its framebuffer, carrying the
-// decode+apply time it spent since the previous ack. All arithmetic
-// stays on the server clock:
+// TIME_MARK to the last batch of a delivery pass that delivered
+// commands, naming the newest flush epoch and the oldest damage of the
+// whole pass, however many batches it wrote. The client answers with a
+// MARK_ACK once everything up to the mark is on its framebuffer,
+// carrying the decode+apply time it spent since the previous ack. All
+// arithmetic stays on the server clock:
 //
-//	queue = flush drain   - oldest damage instant delivered
-//	write = write done    - flush drain
+//	queue = pass drain    - oldest damage instant delivered
+//	write = write done    - pass drain (every batch of the pass)
 //	apply = client-reported decode+apply time
 //	wire  = ack received  - write done - minRTT/2 - apply
 //	e2e   = queue + write + wire + apply
@@ -44,9 +45,9 @@ const maxInflightMarks = 64
 type markRec struct {
 	epoch    uint64
 	timeUS   uint64 // echoed opaquely by the ack
-	damageNS int64  // oldest damage instant the flush delivered (0 = unstamped)
-	drainNS  int64  // when the scheduler drain returned
-	writeNS  int64  // when the batch write completed
+	damageNS int64  // oldest damage instant the pass delivered (0 = unstamped)
+	drainNS  int64  // when the pass's first scheduler drain returned
+	writeNS  int64  // when the pass's last batch write completed
 }
 
 // e2eConn is one connection's mark state, owned by the pump.
@@ -55,9 +56,10 @@ type e2eConn struct {
 	lastMarkNS int64
 }
 
-// e2eMark decides whether the flush that just completed should carry a
-// mark and, if so, returns the record to arm after the write. Called
-// with the flush trace read under the host lock and the drain instant.
+// e2eMark decides whether the delivery pass about to write its last
+// batch should carry a mark and, if so, returns the record to arm after
+// the write. Called with the pass's trace (every batch's, added up) and
+// the instant its first drain returned.
 func (c *serverConn) e2eMark(ft core.FlushTrace, drainNS int64) *wire.TimeMark {
 	o := &c.host.opts
 	if o.DisableE2E || ft.Delivered == 0 {
@@ -86,8 +88,8 @@ func (c *serverConn) e2eMark(ft core.FlushTrace, drainNS int64) *wire.TimeMark {
 	return m
 }
 
-// e2eArm finalizes the just-sent mark with the instant its batch write
-// completed. Must follow the flush that carried the mark.
+// e2eArm finalizes the just-sent mark with the instant the write of
+// the batch that carried it completed.
 func (c *serverConn) e2eArm() {
 	c.e2e.inflight[len(c.e2e.inflight)-1].writeNS = time.Now().UnixNano()
 }

@@ -94,34 +94,45 @@ func (d drainCall) take(buf *core.ClientBuffer, budget int) []wire.Message {
 
 // pass runs one delivery pass. step drains one batch with the given
 // call, writes it, and reports the bytes that left and whether
-// commands are still queued. The pass goes on while commands are
-// queued, the last batch emitted anything, and the allowance left
-// would pay for another like it. When the opening batch is empty
-// although commands are queued, the head command is unsplittable and
-// larger than the whole budget (a long audio write against a
-// modem-class budget): it is streamed whole, like a kernel taking one
-// oversized write, or the queue would wedge; the passes after it pay
-// for it. pass reports the bytes the pass emitted and whether any step
-// ran (a pass still paying off debt runs none).
-func (a *allowance) pass(step func(drainCall) (sent int, queued bool, err error)) (sent int, stepped bool, err error) {
+// commands are still queued; it is told the allowance left before it,
+// so it can know with ends whether its batch is the pass's last. The
+// pass goes on while commands are queued, the last batch emitted
+// anything, and the allowance left would pay for another like it. When
+// the opening batch is empty although commands are queued, the head
+// command is unsplittable and larger than the whole budget (a long
+// audio write against a modem-class budget): it is streamed whole,
+// like a kernel taking one oversized write, or the queue would wedge;
+// the passes after it pay for it. pass reports the bytes the pass
+// emitted and whether any step ran (a pass still paying off debt runs
+// none).
+func (a *allowance) pass(step func(call drainCall, left int) (sent int, queued bool, err error)) (sent int, stepped bool, err error) {
 	left := a.budget - a.debt
 	for call := drainOpen; left > 0; call = drainMore {
-		n, queued, err := step(call)
+		n, queued, err := step(call, left)
 		if err == nil && n == 0 && queued && call == drainOpen {
-			n, queued, err = step(drainWhole)
+			n, queued, err = step(drainWhole, left)
 		}
+		last := ends(left, n, queued)
 		sent += n
 		left -= n
 		stepped = true
 		if err != nil {
 			return sent, stepped, err
 		}
-		if n == 0 || !queued || left < n {
+		if last {
 			break
 		}
 	}
 	a.debt = max(0, -left)
 	return sent, stepped, nil
+}
+
+// ends reports whether a pass ends after a step that emitted n of the
+// left bytes of its allowance: nothing is queued, the batch was empty,
+// or what is left could not pay for another batch as large. Appending
+// to a non-empty batch that ends the pass cannot make it go on.
+func ends(left, n int, queued bool) bool {
+	return n == 0 || !queued || left-n < n
 }
 
 // pusher is the push-on-damage state machine around pacing: the damage

@@ -17,7 +17,7 @@ type batches struct {
 	calls []drainCall
 }
 
-func (b *batches) step(call drainCall) (int, bool, error) {
+func (b *batches) step(call drainCall, _ int) (int, bool, error) {
 	b.calls = append(b.calls, call)
 	if call == drainWhole {
 		return b.whole, len(b.sizes) > 0, nil
@@ -106,7 +106,7 @@ func TestPushAllowance(t *testing.T) {
 	a = allowance{budget: budget}
 	boom := errors.New("write failed")
 	calls := 0
-	if _, _, err := a.pass(func(drainCall) (int, bool, error) {
+	if _, _, err := a.pass(func(drainCall, int) (int, bool, error) {
 		calls++
 		return 10, true, boom
 	}); err != boom || calls != 1 {

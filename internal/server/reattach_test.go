@@ -152,6 +152,87 @@ func TestWarmReattachKeepsCache(t *testing.T) {
 	<-runDone
 }
 
+// TestWarmResyncBytes: the bank scene tiled over a 256x192 screen is
+// resumed again and again, once with the payload store kept across the
+// cut (warm) and once with the client dropping it before every redial
+// (cold). A sentinel tile drawn while the session is detached
+// alternates between two patterns, so after the two priming cycles
+// have stored both, a warm resync is pure CACHE_PAINT replay. Every
+// warm cycle must resume warm, and a warm resync must ship less than a
+// twentieth of a cold one's bytes.
+func TestWarmResyncBytes(t *testing.T) {
+	const priming, cycles = 2, 4
+	run := func(t *testing.T, cold bool) (perResync int64, warm int) {
+		opts := bankOptions()
+		opts.CacheKB = client.DefaultCacheRequestKB
+		host, addr := startHost(t, bankW, bankH, opts)
+		td := &trackedDialer{addr: addr}
+		conn, err := client.DialWith(td.dial, "owner", "pw", bankW, bankH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		runDone := make(chan error, 1)
+		go func() { runDone <- conn.Run() }()
+
+		bank := newBank()
+		var win *xserver.Window
+		host.Do(func(d *xserver.Display) {
+			win = d.CreateWindow(geom.XYWH(0, 0, bankW, bankH))
+			d.FillRect(win, &xserver.GC{Fg: pixel.RGB(24, 26, 32)}, win.Bounds())
+			drawBankRound(d, win, bank, 0)
+			drawBankRound(d, win, bank, 3)
+		})
+		delivered(t, host, conn, 0, 0)
+		waitFor(t, "ticket", func() bool { return len(conn.Ticket()) > 0 })
+
+		var resyncBytes int64
+		for n := 0; n < priming+cycles; n++ {
+			if n == priming {
+				resyncBytes, warm = 0, conn.Stats().WarmResumes
+			}
+			td.kill()
+			<-runDone
+			waitFor(t, "detach", func() bool { return host.NumDetached() >= 1 })
+			host.Do(func(d *xserver.Display) {
+				d.PutImage(win, geom.XYWH(4, 4, patternW, patternH), bank[n%2], patternW)
+			})
+			if cold {
+				conn.DropCache()
+			}
+			h0, c0 := displayBytes(host), appliedBytes(conn)
+			waitFor(t, "redial", func() bool { return conn.Redial() == nil })
+			go func() { runDone <- conn.Run() }()
+			resyncBytes += delivered(t, host, conn, h0, c0)
+			if conn.Snapshot().Checksum() != host.ScreenChecksum() {
+				t.Fatalf("cycle %d: the resync did not converge", n)
+			}
+			// The next cycle's reattach needs the fresh ticket.
+			waitFor(t, "ticket", func() bool { return len(conn.Ticket()) > 0 })
+		}
+		conn.Close()
+		<-runDone
+		return resyncBytes / cycles, conn.Stats().WarmResumes - warm
+	}
+	var warmBytes, coldBytes int64
+	t.Run("warm", func(t *testing.T) {
+		var resumes int
+		if warmBytes, resumes = run(t, false); resumes != cycles {
+			t.Errorf("%d of %d warm cycles resumed warm", resumes, cycles)
+		}
+	})
+	t.Run("cold", func(t *testing.T) {
+		var resumes int
+		if coldBytes, resumes = run(t, true); resumes != 0 {
+			t.Errorf("%d of %d cold cycles resumed warm", resumes, cycles)
+		}
+	})
+	t.Logf("bytes per resync: warm %d, cold %d", warmBytes, coldBytes)
+	if warmBytes <= 0 || warmBytes*20 >= coldBytes {
+		t.Fatalf("a warm resync ships %d bytes against a cold one's %d: want under 5%%", warmBytes, coldBytes)
+	}
+}
+
 // TestEpochDesyncReattachesCold: a reattach whose warm claim does not
 // hold — no claim at all (the restarted-client case: valid ticket, no
 // store), or a stale epoch — resumes the session but renegotiates the

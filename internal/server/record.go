@@ -44,7 +44,7 @@ type Recorder struct {
 func (h *Host) Record(w io.Writer) *Recorder {
 	r := &Recorder{host: h, w: w, start: time.Now()}
 	var more bool // commands still queued after the latest drain
-	step := func(call drainCall) (int, bool, error) {
+	step := func(call drainCall, _ int) (int, bool, error) {
 		h.mu.Lock()
 		msgs := call.take(r.cl.Buf, h.opts.FlushBudget)
 		more = r.cl.Buf.Len() > 0

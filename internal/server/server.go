@@ -1209,10 +1209,15 @@ func (c *serverConn) heartbeatTick(queue func(wire.Message) error, flush func() 
 // (large pixel slabs ride along by reference) and commit it in one
 // vectored write — the non-blocking socket commit of §5 over a real TCP
 // connection, with no per-message allocation. It reports the bytes
-// that left and leaves the post-drain backlog in c.backlog.
-func (c *serverConn) drainStep(batch *wire.Batch, queue func(wire.Message) error, flush func() error) func(drainCall) (int, bool, error) {
+// that left and leaves the post-drain backlog in c.backlog. With e2e
+// tracing on, the step that ends the pass appends one mark naming
+// everything the pass delivered (see e2eMark).
+func (c *serverConn) drainStep(batch *wire.Batch, queue func(wire.Message) error, flush func() error) func(drainCall, int) (int, bool, error) {
 	met := c.host.met
-	return func(call drainCall) (int, bool, error) {
+	e2e := !c.host.opts.DisableE2E
+	var trace core.FlushTrace // what the pass has delivered so far
+	var passNS int64          // when the pass's first batch was drained
+	return func(call drainCall, left int) (int, bool, error) {
 		var msgs []wire.Message
 		var ft core.FlushTrace
 		queued := false
@@ -1220,21 +1225,30 @@ func (c *serverConn) drainStep(batch *wire.Batch, queue func(wire.Message) error
 			c.host.mu.Lock()
 			defer c.host.mu.Unlock()
 			msgs = call.take(c.cl.Buf, c.host.opts.FlushBudget)
-			if len(msgs) > 0 {
+			if e2e && len(msgs) > 0 {
 				ft = c.cl.Buf.LastFlush()
 			}
 			c.backlog = c.cl.Buf.QueuedBytes()
 			queued = c.cl.Buf.Len() > 0
 		}()
-		drainNS := time.Now().UnixNano()
+		if e2e && call == drainOpen {
+			trace, passNS = core.FlushTrace{}, time.Now().UnixNano()
+		}
 		for _, m := range msgs {
 			if err := queue(m); err != nil {
 				return 0, queued, err
 			}
 		}
-		// The mark rides the same batch as the commands it names, so
-		// the client acks it only after applying everything before it.
-		mark := c.e2eMark(ft, drainNS)
+		// The mark rides the pass's last batch, so the client acks it
+		// only after applying everything the pass delivered.
+		var mark *wire.TimeMark
+		if e2e {
+			trace.Add(ft)
+			if ends(left, int(batch.Len()), queued) {
+				mark = c.e2eMark(trace, passNS)
+				trace = core.FlushTrace{}
+			}
+		}
 		if mark != nil {
 			if err := queue(mark); err != nil {
 				return 0, queued, err
@@ -1266,7 +1280,7 @@ func (c *serverConn) drainStep(batch *wire.Batch, queue func(wire.Message) error
 // the overload controller and apply the slow-client policy. It returns
 // the post-flush backlog so the caller can decide whether another pass
 // is needed.
-func (c *serverConn) flushTick(step func(drainCall) (int, bool, error), queue func(wire.Message) error, flush func() error) (int, error) {
+func (c *serverConn) flushTick(step func(drainCall, int) (int, bool, error), queue func(wire.Message) error, flush func() error) (int, error) {
 	met := c.host.met
 	_, stepped, err := c.sched.push.pass(step)
 	if err != nil {

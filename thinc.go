@@ -120,7 +120,6 @@ const (
 	CodecNone = compress.CodecNone
 	CodecRLE  = compress.CodecRLE
 	CodecPNG  = compress.CodecPNG
-	CodecZlib = compress.CodecZlib
 )
 
 // NewCoreServer builds a bare translation core; attach it to a display
